@@ -34,10 +34,14 @@
 //   --profile F   sample CPU for the whole run; folded stacks land in F
 
 #include <atomic>
+#include <charconv>
 #include <chrono>
+#include <climits>
+#include <cmath>
 #include <csignal>
 #include <cstdio>
 #include <cstdlib>
+#include <limits>
 #include <memory>
 #include <string>
 #include <thread>
@@ -67,6 +71,34 @@ using namespace xfc;
 const char* codec_names[] = {"sz (dual-quant)", "zfp-style", "cross-field",
                              "interpolation", "sz (classic)"};
 
+/// The one parser for integer arguments: the whole string must be decimal
+/// digits (no sign, no spaces, no trailing text) naming a value in
+/// [min, max]. Anything else is an InvalidArgument, which main() reports as
+/// an `error:` line and exit status 1.
+std::size_t parse_uint(const std::string& what, const std::string& text,
+                       std::size_t min, std::size_t max) {
+  std::size_t value = 0;
+  const char* end = text.data() + text.size();
+  const auto [stop, ec] = std::from_chars(text.data(), end, value);
+  if (ec != std::errc() || stop != end || value < min || value > max)
+    throw InvalidArgument(what + " wants an integer in [" +
+                          std::to_string(min) + ", " + std::to_string(max) +
+                          "], got: '" + text + "'");
+  return value;
+}
+
+/// Error bounds, by the same rules: a whole finite number above zero.
+double parse_bound(const std::string& text) {
+  double value = 0;
+  const char* end = text.data() + text.size();
+  const auto [stop, ec] = std::from_chars(text.data(), end, value);
+  if (ec != std::errc() || stop != end || !std::isfinite(value) ||
+      !(value > 0))
+    throw InvalidArgument("rel_eb wants a positive number, got: '" + text +
+                          "'");
+  return value;
+}
+
 /// Flags shared across subcommands, stripped from argv before positional
 /// parsing so they may appear anywhere on the command line.
 struct CliFlags {
@@ -85,14 +117,6 @@ struct CliFlags {
 CliFlags strip_flags(std::vector<std::string>& args) {
   CliFlags flags;
   std::vector<std::string> kept;
-  auto positive_int = [](const std::string& flag, const std::string& v,
-                         bool allow_zero) {
-    char* end = nullptr;
-    const std::size_t n = std::strtoull(v.c_str(), &end, 10);
-    if (end == v.c_str() || *end != '\0' || (n == 0 && !allow_zero))
-      throw InvalidArgument(flag + " wants a positive integer, got: " + v);
-    return n;
-  };
   for (std::size_t i = 0; i < args.size(); ++i) {
     const bool is_flag = args[i] == "--json" || args[i] == "--tile" ||
                          args[i] == "--codec" || args[i] == "--port" ||
@@ -104,23 +128,24 @@ CliFlags strip_flags(std::vector<std::string>& args) {
     if (args[i] == "--json") {
       flags.json_path = args[++i];
     } else if (args[i] == "--tile") {
-      flags.tile_edge = positive_int("--tile", args[++i], false);
+      flags.tile_edge = parse_uint("--tile", args[++i], 1, kMaxShapeExtent);
     } else if (args[i] == "--codec") {
       flags.codec = args[++i];
     } else if (args[i] == "--port") {
-      flags.port = positive_int("--port", args[++i], false);
-      if (flags.port > 65535)
-        throw InvalidArgument("--port must be <= 65535");
+      flags.port = parse_uint("--port", args[++i], 1, 65535);
     } else if (args[i] == "--cache-mb") {
-      flags.cache_mb = positive_int("--cache-mb", args[++i], false);
+      flags.cache_mb = parse_uint("--cache-mb", args[++i], 1,
+                                  std::numeric_limits<std::size_t>::max() >>
+                                      20);
     } else if (args[i] == "--threads") {
-      flags.threads = positive_int("--threads", args[++i], false);
+      // The pool honours XFC_THREADS up to 1024.
+      flags.threads = parse_uint("--threads", args[++i], 1, 1024);
     } else if (args[i] == "--access-log") {
       flags.access_log = args[++i];
     } else if (args[i] == "--ingest") {
       flags.ingest = true;
     } else if (args[i] == "--slow-ms") {
-      flags.slow_ms = positive_int("--slow-ms", args[++i], true);
+      flags.slow_ms = parse_uint("--slow-ms", args[++i], 0, INT_MAX);
     } else if (args[i] == "--profile") {
       flags.profile = args[++i];
     } else {
@@ -148,11 +173,12 @@ void finish_json(const bench::BenchJson& json, const CliFlags& flags) {
                  flags.json_path.c_str());
 }
 
-Shape parse_shape(const char* d, const char* h, const char* w) {
-  const std::size_t D = std::strtoull(d, nullptr, 10);
-  const std::size_t H = std::strtoull(h, nullptr, 10);
-  const std::size_t W = std::strtoull(w, nullptr, 10);
-  if (D <= 1) return Shape{H, W};
+Shape parse_shape(const std::string& d, const std::string& h,
+                  const std::string& w) {
+  const std::size_t D = parse_uint("D", d, 1, kMaxShapeExtent);
+  const std::size_t H = parse_uint("H", h, 1, kMaxShapeExtent);
+  const std::size_t W = parse_uint("W", w, 1, kMaxShapeExtent);
+  if (D == 1) return Shape{H, W};
   return Shape{D, H, W};
 }
 
@@ -324,8 +350,8 @@ int run_archive(const std::vector<std::string>& args, const CliFlags& flags) {
 
   if (sub == "create" && args.size() >= 7) {
     const Shape shape =
-        parse_shape(args[2].c_str(), args[3].c_str(), args[4].c_str());
-    const double rel_eb = std::atof(args[5].c_str());
+        parse_shape(args[2], args[3], args[4]);
+    const double rel_eb = parse_bound(args[5]);
 
     ArchiveFieldOptions opts;
     opts.eb = ErrorBound::relative(rel_eb);
@@ -387,8 +413,10 @@ int run_archive(const std::vector<std::string>& args, const CliFlags& flags) {
     }
     std::size_t lo[3], hi[3];
     for (std::size_t d = 0; d < ndim; ++d) {
-      lo[d] = std::strtoull(args[4 + 2 * d].c_str(), nullptr, 10);
-      hi[d] = std::strtoull(args[5 + 2 * d].c_str(), nullptr, 10);
+      const std::string axis = std::to_string(d);
+      lo[d] = parse_uint("lo" + axis, args[4 + 2 * d], 0, info->shape[d] - 1);
+      hi[d] = parse_uint("hi" + axis, args[5 + 2 * d], lo[d] + 1,
+                         info->shape[d]);
     }
     const double t0 = bench::now_ms();
     const Field region =
@@ -543,11 +571,10 @@ int main(int argc, char** argv) {
     bench::BenchJson json;
     if (cmd == "compress" && nargs >= 7) {
       const Shape shape =
-          parse_shape(arg(4).c_str(), arg(5).c_str(), arg(6).c_str());
+          parse_shape(arg(4), arg(5), arg(6));
       const Field field = load_f32(arg(2), shape, stem(arg(2)));
       SzOptions opt;
-      opt.eb = ErrorBound::relative(nargs > 7 ? std::atof(arg(7).c_str())
-                                              : 1e-3);
+      opt.eb = ErrorBound::relative(nargs > 7 ? parse_bound(arg(7)) : 1e-3);
       SzStats stats;
       const double t0 = bench::now_ms();
       const auto stream = sz_compress(field, opt, &stats);
@@ -580,9 +607,9 @@ int main(int argc, char** argv) {
     }
     if (cmd == "xcompress" && nargs >= 9) {
       const Shape shape =
-          parse_shape(arg(4).c_str(), arg(5).c_str(), arg(6).c_str());
+          parse_shape(arg(4), arg(5), arg(6));
       const Field target = load_f32(arg(2), shape, stem(arg(2)));
-      const double rel_eb = std::atof(arg(7).c_str());
+      const double rel_eb = parse_bound(arg(7));
       std::vector<Field> anchor_storage;
       std::vector<const Field*> anchors;
       for (std::size_t i = 8; i <= nargs - 1; ++i)
@@ -623,7 +650,7 @@ int main(int argc, char** argv) {
     }
     if (cmd == "xdecompress" && nargs >= 8) {
       const Shape shape =
-          parse_shape(arg(4).c_str(), arg(5).c_str(), arg(6).c_str());
+          parse_shape(arg(4), arg(5), arg(6));
       const auto stream = read_file(arg(2));
       std::vector<Field> anchor_storage;
       std::vector<const Field*> anchors;

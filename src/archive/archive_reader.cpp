@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
+#include <map>
 #include <mutex>
 #include <set>
 
@@ -28,12 +29,6 @@ constexpr std::array<std::uint8_t, 4> kFooterMagic{'X', 'F', 'A', 'F'};
 constexpr std::uint64_t kMaxFields = 1u << 20;
 constexpr std::uint64_t kMaxAnchors = 255;
 
-void check_not_visiting(const std::vector<std::string>& visiting,
-                        const std::string& name) {
-  if (std::find(visiting.begin(), visiting.end(), name) != visiting.end())
-    throw CorruptStream("archive: cyclic anchor dependency");
-}
-
 /// Operator-grade location suffix appended to every tile-path error: which
 /// field, which grid ordinal, which file offset the bad bytes live at.
 std::string tile_context(const ArchiveFieldInfo& info, std::size_t ordinal) {
@@ -56,45 +51,150 @@ std::string tile_context(const ArchiveFieldInfo& info, std::size_t ordinal) {
   // Anything else (InvalidArgument, std::bad_alloc) propagates untouched.
 }
 
+/// Deterministic report order regardless of decode-thread interleaving.
+void sort_tile_errors(std::vector<ArchiveTileError>& errors) {
+  std::sort(errors.begin(), errors.end(),
+            [](const ArchiveTileError& a, const ArchiveTileError& b) {
+              if (a.field != b.field) return a.field < b.field;
+              return a.ordinal < b.ordinal;
+            });
+}
+
+// Boxes of field coordinates are TileBoxes (lo + extents); a default one
+// (rank 0) is empty.
+
+std::array<std::size_t, 3> box_hi(const TileBox& b) {
+  std::array<std::size_t, 3> hi{{0, 0, 0}};
+  for (std::size_t d = 0; d < b.extents.ndim(); ++d)
+    hi[d] = b.lo[d] + b.extents[d];
+  return hi;
+}
+
+TileBox make_box(std::span<const std::size_t> lo,
+                 std::span<const std::size_t> hi) {
+  TileBox b;
+  std::size_t dims[3];
+  for (std::size_t d = 0; d < lo.size(); ++d) {
+    b.lo[d] = lo[d];
+    dims[d] = hi[d] - lo[d];
+  }
+  b.extents = Shape(std::span<const std::size_t>(dims, lo.size()));
+  return b;
+}
+
+/// The caller's [lo, hi) as a box; bounds errors are caller bugs.
+TileBox region_box(const ArchiveFieldInfo& info,
+                   std::span<const std::size_t> lo,
+                   std::span<const std::size_t> hi) {
+  const std::size_t ndim = info.shape.ndim();
+  expects(lo.size() == ndim && hi.size() == ndim,
+          "read_region: bounds rank must match the field rank");
+  for (std::size_t d = 0; d < ndim; ++d)
+    expects(lo[d] < hi[d] && hi[d] <= info.shape[d],
+            "read_region: empty or out-of-bounds region");
+  return make_box(lo, hi);
+}
+
+/// Smallest box holding `a` and `b`; `a` may be empty.
+TileBox hull(const TileBox& a, const TileBox& b) {
+  if (a.extents.ndim() == 0) return b;
+  const std::size_t ndim = b.extents.ndim();
+  const auto a_hi = box_hi(a), b_hi = box_hi(b);
+  std::size_t lo[3], hi[3];
+  for (std::size_t d = 0; d < ndim; ++d) {
+    lo[d] = std::min(a.lo[d], b.lo[d]);
+    hi[d] = std::max(a_hi[d], b_hi[d]);
+  }
+  return make_box(std::span<const std::size_t>(lo, ndim),
+                  std::span<const std::size_t>(hi, ndim));
+}
+
+std::vector<std::size_t> tiles_in_box(const TileGrid& grid,
+                                      const TileBox& box) {
+  const std::size_t ndim = box.extents.ndim();
+  const auto hi = box_hi(box);
+  return grid.tiles_in_region(std::span<const std::size_t>(box.lo.data(), ndim),
+                              std::span<const std::size_t>(hi.data(), ndim));
+}
+
+/// `box` grown to the union of the tiles of `grid` it touches: the hull of
+/// the first and last of them (tiles_in_region lists them row-major).
+TileBox tile_aligned(const TileGrid& grid, const TileBox& box) {
+  const std::vector<std::size_t> tiles = tiles_in_box(grid, box);
+  return hull(grid.box(tiles.front()), grid.box(tiles.back()));
+}
+
+bool boxes_intersect(const TileBox& a, const TileBox& b) {
+  for (std::size_t d = 0; d < a.extents.ndim(); ++d) {
+    if (a.lo[d] + a.extents[d] <= b.lo[d]) return false;
+    if (b.lo[d] + b.extents[d] <= a.lo[d]) return false;
+  }
+  return true;
+}
+
+std::vector<const Field*> pointers(const std::vector<Field>& fields) {
+  std::vector<const Field*> out;
+  out.reserve(fields.size());
+  for (const Field& f : fields) out.push_back(&f);
+  return out;
+}
+
+/// Copies the overlap of `src` (laid out over `src_box`) into `dst` (laid
+/// out over `dst_box`): copy_tile_into_region in box terms.
+void crop_into(F32Array& dst, const TileBox& dst_box, const F32Array& src,
+               const TileBox& src_box) {
+  const std::size_t ndim = dst_box.extents.ndim();
+  const auto hi = box_hi(dst_box);
+  copy_tile_into_region(dst,
+                        std::span<const std::size_t>(dst_box.lo.data(), ndim),
+                        std::span<const std::size_t>(hi.data(), ndim), src,
+                        src_box);
+}
+
 }  // namespace
 
-void validate_anchor_graph(const std::vector<ArchiveFieldInfo>& fields) {
-  std::map<std::string, const ArchiveFieldInfo*> by_name;
-  for (const ArchiveFieldInfo& f : fields) by_name[f.name] = &f;
+std::vector<std::size_t> validate_anchor_graph(
+    const std::vector<ArchiveFieldInfo>& fields) {
+  std::map<std::string, std::size_t> by_name;
+  for (std::size_t i = 0; i < fields.size(); ++i) by_name[fields[i].name] = i;
 
   // Iterative three-color DFS (anchor chains may be as long as the field
-  // count, so no recursion).
+  // count, so no recursion). A field turns black, and joins the order,
+  // once all of its anchors have.
   enum : std::uint8_t { kWhite = 0, kGray = 1, kBlack = 2 };
-  std::map<std::string, std::uint8_t> color;
-  for (const ArchiveFieldInfo& root : fields) {
-    if (color[root.name] != kWhite) continue;
+  std::vector<std::uint8_t> color(fields.size(), kWhite);
+  std::vector<std::size_t> order;
+  order.reserve(fields.size());
+  for (std::size_t root = 0; root < fields.size(); ++root) {
+    if (color[root] != kWhite) continue;
     // Stack of (field, next anchor index to visit).
-    std::vector<std::pair<const ArchiveFieldInfo*, std::size_t>> stack;
-    color[root.name] = kGray;
-    stack.emplace_back(&root, 0);
+    std::vector<std::pair<std::size_t, std::size_t>> stack{{root, 0}};
+    color[root] = kGray;
     while (!stack.empty()) {
       auto& [f, next] = stack.back();
-      if (next == f->anchors.size()) {
-        color[f->name] = kBlack;
+      const ArchiveFieldInfo& info = fields[f];
+      if (next == info.anchors.size()) {
+        color[f] = kBlack;
+        order.push_back(f);
         stack.pop_back();
         continue;
       }
-      const std::string& a = f->anchors[next++];
+      const std::string& a = info.anchors[next++];
       const auto it = by_name.find(a);
       if (it == by_name.end())
         throw CorruptStream("archive: anchor field missing from archive: " +
                             a);
-      if (it->second->shape != f->shape)
+      if (fields[it->second].shape != info.shape)
         throw CorruptStream("archive: anchor shape disagrees with target");
-      std::uint8_t& c = color[a];
-      if (c == kGray)
+      if (color[it->second] == kGray)
         throw CorruptStream("archive: cyclic anchor dependency");
-      if (c == kWhite) {
-        c = kGray;
+      if (color[it->second] == kWhite) {
+        color[it->second] = kGray;
         stack.emplace_back(it->second, 0);
       }
     }
   }
+  return order;
 }
 
 std::uint32_t archive_tile_crc(const std::string& field_name,
@@ -117,7 +217,7 @@ Field archive_decode_tile(std::span<const std::uint8_t> body, CodecId expected,
   // The codec byte sits right after the 4-byte XFC1 magic; peeking it here
   // avoids a full parse_container (its CRC pass over the body) just for
   // this check — the codec's own decompress validates the frame anyway,
-  // and the archive-level tile CRC already ran in tile_bytes().
+  // and the archive-level tile CRC already ran in read_tile_bytes().
   if (body.size() < 5 ||
       body[4] != static_cast<std::uint8_t>(expected))
     throw CorruptStream("archive: tile codec disagrees with the index");
@@ -168,7 +268,7 @@ void ArchiveReader::parse_index() {
   // Fast path: a cleanly closed archive parses at EOF.
   std::exception_ptr first_error;
   try {
-    parse_index_at(total, fields_);
+    order_ = parse_index_at(total, fields_);
     logical_size_ = total;
     return;
   } catch (const CorruptStream&) {
@@ -177,8 +277,9 @@ void ArchiveReader::parse_index() {
 
   // Recovery-on-open: a crashed append left a torn tail (partial bodies, a
   // partial footer, or a partial trailer) after the last sealed epoch. The
-  // commit point is the newest trailer whose footer CRC-validates, so scan
-  // backward for trailer-magic candidates and try a strict parse at each.
+  // commit point is the newest trailer whose footer CRC-validates and whose
+  // anchor graph holds, so scan backward for trailer-magic candidates and
+  // try a strict parse at each.
   // False positives (magic bytes inside tile bodies) are rejected by the
   // trailer bounds checks and the footer CRC, which is a 1-in-2^32 fluke
   // per candidate — and a fluke still yields a CRC-consistent index, never
@@ -201,7 +302,7 @@ void ArchiveReader::parse_index() {
         continue;
       std::vector<ArchiveFieldInfo> candidate;
       try {
-        parse_index_at(e, candidate);
+        order_ = parse_index_at(e, candidate);
       } catch (const CorruptStream&) {
         continue;
       }
@@ -224,8 +325,8 @@ std::uint32_t ArchiveReader::epoch_count() const {
   return max_epoch + 1;
 }
 
-void ArchiveReader::parse_index_at(std::size_t logical_end,
-                                   std::vector<ArchiveFieldInfo>& out) const {
+std::vector<std::size_t> ArchiveReader::parse_index_at(
+    std::size_t logical_end, std::vector<ArchiveFieldInfo>& out) const {
   const std::size_t total = logical_end;
   if (total < kArchiveHeaderSize + kFooterMagic.size() + kArchiveTrailerSize ||
       total > source_->size())
@@ -310,11 +411,8 @@ void ArchiveReader::parse_index_at(std::size_t logical_end,
       const std::uint64_t n_anchors = in.varint();
       if (n_anchors == 0 || n_anchors > kMaxAnchors)
         throw CorruptStream("archive: bad anchor count");
-      for (std::uint64_t i = 0; i < n_anchors; ++i) {
+      for (std::uint64_t i = 0; i < n_anchors; ++i)
         f.anchors.push_back(in.str());
-        if (f.anchors.back().empty() || f.anchors.back() == f.name)
-          throw CorruptStream("archive: bad anchor name");
-      }
     }
 
     const TileGrid grid(f.shape, f.tile);
@@ -341,6 +439,7 @@ void ArchiveReader::parse_index_at(std::size_t logical_end,
   }
   if (!in.exhausted())
     throw CorruptStream("archive: trailing bytes after the field index");
+  return validate_anchor_graph(out);
 }
 
 const ArchiveFieldInfo* ArchiveReader::find(const std::string& name) const {
@@ -356,8 +455,14 @@ const ArchiveFieldInfo& ArchiveReader::require(const std::string& name) const {
   return *info;
 }
 
-std::vector<std::uint8_t> ArchiveReader::tile_bytes(
+std::size_t ArchiveReader::index_of(const std::string& name) const {
+  return static_cast<std::size_t>(&require(name) - fields_.data());
+}
+
+std::vector<std::uint8_t> ArchiveReader::read_tile_bytes(
     const ArchiveFieldInfo& info, std::size_t ordinal) const {
+  expects(ordinal < info.tiles.size(),
+          "read_tile_bytes: tile ordinal out of range");
   const ArchiveTileInfo& t = info.tiles[ordinal];
   std::vector<std::uint8_t> body;
   try {
@@ -372,179 +477,17 @@ std::vector<std::uint8_t> ArchiveReader::tile_bytes(
   return body;
 }
 
-std::vector<std::uint8_t> ArchiveReader::read_tile_bytes(
-    const ArchiveFieldInfo& info, std::size_t ordinal) const {
-  expects(ordinal < info.tiles.size(),
-          "read_tile_bytes: tile ordinal out of range");
-  return tile_bytes(info, ordinal);
-}
-
-Field ArchiveReader::decode_full(const ArchiveFieldInfo& info,
-                                 std::map<std::string, Field>& cache,
-                                 std::vector<std::string>& visiting) const {
-  check_not_visiting(visiting, info.name);
-  visiting.push_back(info.name);
-
-  // Resolve anchors first (cached, so a shared anchor decodes once).
-  std::vector<const Field*> anchor_fields;
-  for (const std::string& a : info.anchors) {
-    const ArchiveFieldInfo* ai = find(a);
-    if (ai == nullptr)
-      throw CorruptStream("archive: anchor field missing from archive: " + a);
-    if (ai->shape != info.shape)
-      throw CorruptStream("archive: anchor shape disagrees with target");
-    auto it = cache.find(a);
-    if (it == cache.end()) {
-      Field dec = decode_full(*ai, cache, visiting);
-      it = cache.emplace(a, std::move(dec)).first;
-    }
-    anchor_fields.push_back(&it->second);
-  }
-
-  const TileGrid grid(info.shape, info.tile);
-  F32Array out(info.shape);
-  for_each_tile_parallel(0, grid.num_tiles(), [&](std::size_t t) {
-    const TileBox box = grid.box(t);
-    const auto body = tile_bytes(info, t);
-    std::vector<Field> anchor_tiles;
-    std::vector<const Field*> anchor_ptrs;
-    anchor_tiles.reserve(anchor_fields.size());
-    for (const Field* a : anchor_fields)
-      anchor_tiles.emplace_back(a->name(), extract_tile(a->array(), box));
-    for (const Field& a : anchor_tiles) anchor_ptrs.push_back(&a);
-
-    // tile_bytes() verified the archive tile CRC over this exact body, so
-    // the container's inner CRC is redundant — skip it.
-    const TrustedParseScope trusted;
-    Field tile;
-    try {
-      tile = archive_decode_tile(body, info.codec, anchor_ptrs);
-    } catch (...) {
-      rethrow_with_tile_context(info, t);
-    }
-    if (tile.shape() != box.extents)
-      throw CorruptStream("archive: tile shape disagrees with the index" +
-                          tile_context(info, t));
-    insert_tile(out, box, tile.array());
-  });
-
-  visiting.pop_back();
-  return Field(info.name, std::move(out));
-}
-
-Field ArchiveReader::decode_region(const ArchiveFieldInfo& info,
-                                   std::span<const std::size_t> lo,
-                                   std::span<const std::size_t> hi,
-                                   std::vector<std::string> visiting) const {
-  check_not_visiting(visiting, info.name);
-  visiting.push_back(info.name);
-  const std::size_t ndim = info.shape.ndim();
-  expects(lo.size() == ndim && hi.size() == ndim,
-          "read_region: bounds rank must match the field rank");
-  for (std::size_t d = 0; d < ndim; ++d)
-    expects(lo[d] < hi[d] && hi[d] <= info.shape[d],
-            "read_region: empty or out-of-bounds region");
-
-  std::size_t region_dims[3];
-  for (std::size_t d = 0; d < ndim; ++d) region_dims[d] = hi[d] - lo[d];
-  F32Array out(Shape(std::span<const std::size_t>(region_dims, ndim)));
-
-  const TileGrid grid(info.shape, info.tile);
-
-  // Cross-field tiles decode whole tile boxes, so the anchors must cover
-  // the tile-aligned expansion of [lo, hi), not just the query itself.
-  // Each anchor's covering region decodes ONCE per query (recursively —
-  // anchor grids need not align with this field's) and tiles crop from it.
-  std::size_t cover_lo[3] = {0, 0, 0};
-  std::vector<Field> anchor_regions;
-  anchor_regions.reserve(info.anchors.size());
-  if (!info.anchors.empty()) {
-    std::size_t cover_hi[3];
-    for (std::size_t d = 0; d < ndim; ++d) {
-      cover_lo[d] = (lo[d] / info.tile[d]) * info.tile[d];
-      cover_hi[d] =
-          std::min(info.shape[d], ceil_div(hi[d], info.tile[d]) * info.tile[d]);
-    }
-    for (const std::string& a : info.anchors) {
-      const ArchiveFieldInfo* ai = find(a);
-      if (ai == nullptr)
-        throw CorruptStream("archive: anchor field missing from archive: " +
-                            a);
-      if (ai->shape != info.shape)
-        throw CorruptStream("archive: anchor shape disagrees with target");
-      anchor_regions.push_back(decode_region(
-          *ai, std::span<const std::size_t>(cover_lo, ndim),
-          std::span<const std::size_t>(cover_hi, ndim), visiting));
-    }
-  }
-
-  for_each_tile_parallel(grid.tiles_in_region(lo, hi), [&](std::size_t t) {
-    const TileBox box = grid.box(t);
-    const auto body = tile_bytes(info, t);
-
-    std::vector<Field> anchor_tiles;
-    std::vector<const Field*> anchor_ptrs;
-    anchor_tiles.reserve(anchor_regions.size());
-    for (const Field& ar : anchor_regions) {
-      F32Array at(box.extents);
-      std::size_t zero[3] = {0, 0, 0};
-      std::size_t src_lo[3];
-      for (std::size_t d = 0; d < ndim; ++d)
-        src_lo[d] = box.lo[d] - cover_lo[d];
-      copy_region(at, zero, ar.array(), src_lo, box.extents);
-      anchor_tiles.emplace_back(ar.name(), std::move(at));
-    }
-    for (const Field& a : anchor_tiles) anchor_ptrs.push_back(&a);
-
-    const TrustedParseScope trusted;  // archive tile CRC subsumes the inner
-    Field tile;
-    try {
-      tile = archive_decode_tile(body, info.codec, anchor_ptrs);
-    } catch (...) {
-      rethrow_with_tile_context(info, t);
-    }
-    if (tile.shape() != box.extents)
-      throw CorruptStream("archive: tile shape disagrees with the index" +
-                          tile_context(info, t));
-
-    copy_tile_into_region(out, lo, hi, tile.array(), box);
-  });
-
-  return Field(info.name, std::move(out));
-}
-
-Field ArchiveReader::decode_tile_impl(const ArchiveFieldInfo& info,
-                                      std::size_t ordinal,
-                                      const TileFetch& fetch,
-                                      std::vector<std::string>& visiting) const {
-  expects(ordinal < info.tiles.size(), "read_tile: tile ordinal out of range");
-  const TileGrid grid(info.shape, info.tile);
-  const TileBox box = grid.box(ordinal);
-
-  std::vector<Field> anchor_tiles;
-  std::vector<const Field*> anchor_ptrs;
-  if (!info.anchors.empty()) {
-    check_not_visiting(visiting, info.name);
-    visiting.push_back(info.name);
-    anchor_tiles.reserve(info.anchors.size());
-    for (const std::string& a : info.anchors) {
-      const ArchiveFieldInfo* ai = find(a);
-      if (ai == nullptr)
-        throw CorruptStream("archive: anchor field missing from archive: " +
-                            a);
-      if (ai->shape != info.shape)
-        throw CorruptStream("archive: anchor shape disagrees with target");
-      anchor_tiles.push_back(assemble_anchor_box(*ai, box, fetch, visiting));
-    }
-    for (const Field& a : anchor_tiles) anchor_ptrs.push_back(&a);
-    visiting.pop_back();
-  }
-
-  const auto body = tile_bytes(info, ordinal);
-  const TrustedParseScope trusted;  // archive tile CRC subsumes the inner
+Field ArchiveReader::decode_tile(const ArchiveFieldInfo& info,
+                                 std::size_t ordinal, const TileBox& box,
+                                 const std::vector<const Field*>& anchors)
+    const {
+  const auto body = read_tile_bytes(info, ordinal);
+  // read_tile_bytes() verified the archive tile CRC over this exact body, so
+  // the container's inner CRC is redundant — skip it.
+  const TrustedParseScope trusted;
   Field tile;
   try {
-    tile = archive_decode_tile(body, info.codec, anchor_ptrs);
+    tile = archive_decode_tile(body, info.codec, anchors);
   } catch (...) {
     rethrow_with_tile_context(info, ordinal);
   }
@@ -554,45 +497,135 @@ Field ArchiveReader::decode_tile_impl(const ArchiveFieldInfo& info,
   return tile;
 }
 
-Field ArchiveReader::assemble_anchor_box(const ArchiveFieldInfo& anchor,
-                                         const TileBox& box,
-                                         const TileFetch& fetch,
-                                         std::vector<std::string>& visiting)
-    const {
-  const std::size_t ndim = anchor.shape.ndim();
-  std::size_t hi[3];
-  for (std::size_t d = 0; d < ndim; ++d) hi[d] = box.lo[d] + box.extents[d];
+/// One direct read: the box of fields_[field] the caller wants back.
+struct ArchiveReader::Request {
+  std::size_t field = 0;
+  TileBox box;
+};
 
-  // The anchor's grid need not align with the target's; cover the target
-  // box with whichever anchor tiles intersect it and crop each into place.
-  const TileGrid grid(anchor.shape, anchor.tile);
-  F32Array out(box.extents);
-  const auto tiles = grid.tiles_in_region(
-      std::span<const std::size_t>(box.lo.data(), ndim),
-      std::span<const std::size_t>(hi, ndim));
-  for (const std::size_t t : tiles) {
-    const TileBox abox = grid.box(t);
-    std::shared_ptr<const Field> fetched;
-    Field local;
-    const Field* tile;
-    if (fetch) {
-      fetched = fetch(anchor, t);
-      if (fetched == nullptr)
-        throw CorruptStream("archive: anchor tile fetch returned nothing");
-      tile = fetched.get();
-      if (tile->shape() != abox.extents)
-        throw CorruptStream("archive: fetched anchor tile shape mismatch");
-    } else {
-      local = decode_tile_impl(anchor, t, fetch, visiting);
-      tile = &local;
-    }
-
-    copy_tile_into_region(out,
-                          std::span<const std::size_t>(box.lo.data(), ndim),
-                          std::span<const std::size_t>(hi, ndim),
-                          tile->array(), abox);
+std::vector<Field> ArchiveReader::execute(const std::vector<Request>& requests,
+                                          ArchiveReadReport* report,
+                                          TileFillPolicy fill) const {
+  // Plan: the tile-aligned box each field of the requests' anchor closure
+  // must decode. A target decodes whole tiles against the same boxes of its
+  // anchors, so walking dependents before their anchors pushes each
+  // target's final box down before the anchor aligns its own.
+  constexpr std::size_t kNone = std::numeric_limits<std::size_t>::max();
+  std::vector<TileBox> plan(fields_.size());  // ndim 0: not in the plan
+  std::vector<std::size_t> request_of(fields_.size(), kNone);
+  std::vector<char> anchored(fields_.size(), 0);
+  for (std::size_t i = 0; i < requests.size(); ++i) {
+    plan[requests[i].field] = requests[i].box;
+    request_of[requests[i].field] = i;
   }
-  return Field(anchor.name, std::move(out));
+  for (auto it = order_.rbegin(); it != order_.rend(); ++it) {
+    const ArchiveFieldInfo& info = fields_[*it];
+    if (plan[*it].extents.ndim() == 0) continue;
+    plan[*it] = tile_aligned(TileGrid(info.shape, info.tile), plan[*it]);
+    for (const std::string& a : info.anchors) {
+      const std::size_t ai = index_of(a);
+      plan[ai] = hull(plan[ai], plan[*it]);
+      anchored[ai] = 1;
+    }
+  }
+
+  // Execute, anchors first. A requested field that nothing in the plan
+  // anchors on is written straight into its output; every other field
+  // decodes its planned box, which its dependents crop anchor boxes from.
+  const auto allocate = [&](const Shape& shape) {
+    F32Array a(shape);  // zero-initialised, so kZero costs nothing extra
+    if (report != nullptr && fill == TileFillPolicy::kNan)
+      std::fill(a.data(), a.data() + a.size(),
+                std::numeric_limits<float>::quiet_NaN());
+    return a;
+  };
+  std::vector<F32Array> out(requests.size());
+  std::vector<F32Array> decoded(fields_.size());
+  std::vector<std::vector<TileBox>> failed(fields_.size());
+  std::mutex report_mutex;
+  for (const std::size_t f : order_) {
+    if (plan[f].extents.ndim() == 0) continue;
+    const ArchiveFieldInfo& info = fields_[f];
+    const bool direct = anchored[f] == 0;
+    const TileBox& dst_box = direct ? requests[request_of[f]].box : plan[f];
+    F32Array& dst = direct ? out[request_of[f]] : decoded[f];
+    dst = allocate(dst_box.extents);
+
+    // Contained reads fail, without decoding, every tile whose box touches
+    // a failed anchor tile: decoding against fill values would produce
+    // plausible-looking wrong bytes, and degraded output is absent, never
+    // wrong. (Strict reads never get here with a failure.)
+    std::vector<std::size_t> anchors;
+    std::vector<TileBox> bad;
+    for (const std::string& a : info.anchors) {
+      anchors.push_back(index_of(a));
+      bad.insert(bad.end(), failed[anchors.back()].begin(),
+                 failed[anchors.back()].end());
+    }
+    const TileGrid grid(info.shape, info.tile);
+    const std::vector<std::size_t> tiles = tiles_in_box(grid, plan[f]);
+    if (report != nullptr) report->tiles_total += tiles.size();
+    for_each_tile_parallel(tiles, [&](std::size_t t) {
+      const TileBox box = grid.box(t);
+      std::string error;
+      if (std::any_of(bad.begin(), bad.end(), [&](const TileBox& b) {
+            return boxes_intersect(box, b);
+          })) {
+        error = "archive: anchor tile unavailable (degraded anchor "
+                "coverage)" + tile_context(info, t);
+      } else {
+        try {
+          std::vector<Field> anchor_boxes;
+          for (const std::size_t a : anchors) {
+            F32Array ab(box.extents);
+            crop_into(ab, box, decoded[a], plan[a]);
+            anchor_boxes.emplace_back(fields_[a].name, std::move(ab));
+          }
+          const Field tile = decode_tile(info, t, box, pointers(anchor_boxes));
+          crop_into(dst, dst_box, tile.array(), box);
+        } catch (const XfcError& e) {
+          if (report == nullptr) throw;
+          error = e.what();
+        }
+      }
+      if (report == nullptr) return;
+      const std::lock_guard<std::mutex> lock(report_mutex);
+      if (error.empty()) {
+        ++report->tiles_ok;
+        return;
+      }
+      report->errors.push_back(
+          {info.name, t, info.tiles[t].offset, std::move(error)});
+      failed[f].push_back(box);
+    });
+  }
+
+  std::vector<Field> result;
+  result.reserve(requests.size());
+  for (std::size_t i = 0; i < requests.size(); ++i) {
+    const Request& r = requests[i];
+    if (anchored[r.field] != 0) {
+      // The planned box contains the request, so equal extents mean the
+      // same box.
+      if (r.box.extents == plan[r.field].extents) {
+        out[i] = std::move(decoded[r.field]);
+      } else {
+        out[i] = F32Array(r.box.extents);
+        crop_into(out[i], r.box, decoded[r.field], plan[r.field]);
+      }
+    }
+    result.emplace_back(fields_[r.field].name, std::move(out[i]));
+  }
+  return result;
+}
+
+Field ArchiveReader::read_box(const ArchiveFieldInfo& info, const TileBox& box,
+                              ArchiveReadReport* report,
+                              TileFillPolicy fill) const {
+  Field out = std::move(
+      execute({Request{index_of(info.name), box}}, report, fill).front());
+  if (report != nullptr) sort_tile_errors(report->errors);
+  return out;
 }
 
 Field ArchiveReader::read_tile(const ArchiveFieldInfo& info,
@@ -601,8 +634,29 @@ Field ArchiveReader::read_tile(const ArchiveFieldInfo& info,
   // Anchor tiles resolved through `fetch` re-enter here, so a cross-field
   // tile's span nests its anchors' decode spans under it.
   const obs::SpanScope span("tile_decode", &obs::tile_decode_us());
-  std::vector<std::string> visiting;
-  return decode_tile_impl(info, ordinal, fetch, visiting);
+  expects(ordinal < info.tiles.size(), "read_tile: tile ordinal out of range");
+  const TileBox box = TileGrid(info.shape, info.tile).box(ordinal);
+
+  // A cross-field tile decodes against its anchors' boxes over the same
+  // box: planned and decoded like any other direct read, or assembled from
+  // the whole anchor tiles a fetcher hands out.
+  if (!fetch && !info.anchors.empty())
+    return read_box(info, box, nullptr, TileFillPolicy::kZero);
+  std::vector<Field> anchor_boxes;
+  for (const std::string& a : info.anchors) {
+    const ArchiveFieldInfo& anchor = fields_[index_of(a)];
+    const TileGrid grid(anchor.shape, anchor.tile);
+    F32Array ab(box.extents);
+    for (const std::size_t t : tiles_in_box(grid, box)) {
+      const std::shared_ptr<const Field> tile = fetch(anchor, t);
+      const TileBox abox = grid.box(t);
+      if (tile == nullptr || tile->shape() != abox.extents)
+        throw CorruptStream("archive: anchor tile fetch returned a bad tile");
+      crop_into(ab, box, tile->array(), abox);
+    }
+    anchor_boxes.emplace_back(anchor.name, std::move(ab));
+  }
+  return decode_tile(info, ordinal, box, pointers(anchor_boxes));
 }
 
 Field ArchiveReader::read_tile(const std::string& name,
@@ -611,196 +665,32 @@ Field ArchiveReader::read_tile(const std::string& name,
 }
 
 Field ArchiveReader::read_field(const std::string& name) const {
-  std::map<std::string, Field> cache;
-  std::vector<std::string> visiting;
-  return decode_full(require(name), cache, visiting);
+  const ArchiveFieldInfo& info = require(name);
+  return read_box(info, TileBox{.extents = info.shape}, nullptr,
+                  TileFillPolicy::kZero);
 }
 
 Field ArchiveReader::read_region(const std::string& name,
                                  std::span<const std::size_t> lo,
                                  std::span<const std::size_t> hi) const {
-  return decode_region(require(name), lo, hi, {});
+  const ArchiveFieldInfo& info = require(name);
+  return read_box(info, region_box(info, lo, hi), nullptr,
+                  TileFillPolicy::kZero);
 }
 
 std::vector<Field> ArchiveReader::read_all() const {
-  // Only fields some other field anchors on need to live in the cache;
-  // everything else moves straight into the output, keeping peak memory at
-  // one copy of the dataset plus the anchor set.
-  std::set<std::string> anchored;
-  for (const ArchiveFieldInfo& info : fields_)
-    for (const std::string& a : info.anchors) anchored.insert(a);
-
-  std::map<std::string, Field> cache;
-  std::vector<Field> out;
-  out.reserve(fields_.size());
-  for (const ArchiveFieldInfo& info : fields_) {
-    auto it = cache.find(info.name);
-    if (it != cache.end()) {
-      out.push_back(it->second);
-      continue;
-    }
-    std::vector<std::string> visiting;
-    Field dec = decode_full(info, cache, visiting);
-    if (anchored.count(info.name) != 0) cache.emplace(info.name, dec);
-    out.push_back(std::move(dec));
-  }
-  return out;
-}
-
-namespace {
-
-/// Deterministic report order regardless of decode-thread interleaving.
-void sort_tile_errors(std::vector<ArchiveTileError>& errors) {
-  std::sort(errors.begin(), errors.end(),
-            [](const ArchiveTileError& a, const ArchiveTileError& b) {
-              if (a.field != b.field) return a.field < b.field;
-              return a.ordinal < b.ordinal;
-            });
-}
-
-/// Does the half-open box [a_lo, a_lo+a_ext) intersect [b_lo, b_lo+b_ext)?
-bool boxes_intersect(const TileBox& a, const TileBox& b) {
-  for (std::size_t d = 0; d < a.extents.ndim(); ++d) {
-    if (a.lo[d] + a.extents[d] <= b.lo[d]) return false;
-    if (b.lo[d] + b.extents[d] <= a.lo[d]) return false;
-  }
-  return true;
-}
-
-}  // namespace
-
-Field ArchiveReader::decode_region_partial(
-    const ArchiveFieldInfo& info, std::span<const std::size_t> lo,
-    std::span<const std::size_t> hi, ArchiveReadReport& report,
-    TileFillPolicy fill, std::vector<std::string> visiting) const {
-  check_not_visiting(visiting, info.name);
-  visiting.push_back(info.name);
-  const std::size_t ndim = info.shape.ndim();
-  expects(lo.size() == ndim && hi.size() == ndim,
-          "read_region: bounds rank must match the field rank");
-  for (std::size_t d = 0; d < ndim; ++d)
-    expects(lo[d] < hi[d] && hi[d] <= info.shape[d],
-            "read_region: empty or out-of-bounds region");
-
-  std::size_t region_dims[3];
-  for (std::size_t d = 0; d < ndim; ++d) region_dims[d] = hi[d] - lo[d];
-  // Pre-fill the whole output: failed tiles simply never overwrite it, so
-  // the fill policy needs no per-failure bookkeeping. (F32Array is
-  // zero-initialised, so kZero costs nothing extra.)
-  F32Array out(Shape(std::span<const std::size_t>(region_dims, ndim)));
-  if (fill == TileFillPolicy::kNan)
-    std::fill(out.data(), out.data() + out.size(),
-              std::numeric_limits<float>::quiet_NaN());
-
-  const TileGrid grid(info.shape, info.tile);
-
-  // Anchors decode through the same degraded path, into the same report.
-  // Any tile box an anchor could not serve poisons every target tile it
-  // touches: decoding a cross-field tile against fill values would produce
-  // plausible-looking wrong bytes, and degraded output must only ever be
-  // absent, never wrong.
-  std::size_t cover_lo[3] = {0, 0, 0};
-  std::vector<Field> anchor_regions;
-  std::vector<TileBox> failed_anchor_boxes;
-  anchor_regions.reserve(info.anchors.size());
-  if (!info.anchors.empty()) {
-    std::size_t cover_hi[3];
-    for (std::size_t d = 0; d < ndim; ++d) {
-      cover_lo[d] = (lo[d] / info.tile[d]) * info.tile[d];
-      cover_hi[d] =
-          std::min(info.shape[d], ceil_div(hi[d], info.tile[d]) * info.tile[d]);
-    }
-    for (const std::string& a : info.anchors) {
-      const ArchiveFieldInfo* ai = find(a);
-      if (ai == nullptr)
-        throw CorruptStream("archive: anchor field missing from archive: " +
-                            a);
-      if (ai->shape != info.shape)
-        throw CorruptStream("archive: anchor shape disagrees with target");
-      const std::size_t errors_before = report.errors.size();
-      anchor_regions.push_back(decode_region_partial(
-          *ai, std::span<const std::size_t>(cover_lo, ndim),
-          std::span<const std::size_t>(cover_hi, ndim), report, fill,
-          visiting));
-      // The anchor's own deeper failures already propagated into its tile
-      // set, so scanning entries named for the immediate anchor is enough.
-      const TileGrid agrid(ai->shape, ai->tile);
-      for (std::size_t e = errors_before; e < report.errors.size(); ++e)
-        if (report.errors[e].field == ai->name)
-          failed_anchor_boxes.push_back(agrid.box(report.errors[e].ordinal));
-    }
-  }
-
-  const std::vector<std::size_t> tiles = grid.tiles_in_region(lo, hi);
-  report.tiles_total += tiles.size();
-  std::mutex report_mutex;
-  for_each_tile_parallel(tiles, [&](std::size_t t) {
-    const TileBox box = grid.box(t);
-
-    for (const TileBox& bad : failed_anchor_boxes) {
-      if (boxes_intersect(box, bad)) {
-        std::lock_guard<std::mutex> lock(report_mutex);
-        report.errors.push_back(
-            {info.name, t, info.tiles[t].offset,
-             "archive: anchor tile unavailable (degraded anchor coverage)" +
-                 tile_context(info, t)});
-        return;
-      }
-    }
-
-    try {
-      const auto body = tile_bytes(info, t);
-
-      std::vector<Field> anchor_tiles;
-      std::vector<const Field*> anchor_ptrs;
-      anchor_tiles.reserve(anchor_regions.size());
-      for (const Field& ar : anchor_regions) {
-        F32Array at(box.extents);
-        std::size_t zero[3] = {0, 0, 0};
-        std::size_t src_lo[3];
-        for (std::size_t d = 0; d < ndim; ++d)
-          src_lo[d] = box.lo[d] - cover_lo[d];
-        copy_region(at, zero, ar.array(), src_lo, box.extents);
-        anchor_tiles.emplace_back(ar.name(), std::move(at));
-      }
-      for (const Field& a : anchor_tiles) anchor_ptrs.push_back(&a);
-
-      const TrustedParseScope trusted;
-      Field tile;
-      try {
-        tile = archive_decode_tile(body, info.codec, anchor_ptrs);
-      } catch (...) {
-        rethrow_with_tile_context(info, t);
-      }
-      if (tile.shape() != box.extents)
-        throw CorruptStream("archive: tile shape disagrees with the index" +
-                            tile_context(info, t));
-
-      copy_tile_into_region(out, lo, hi, tile.array(), box);
-      std::lock_guard<std::mutex> lock(report_mutex);
-      ++report.tiles_ok;
-    } catch (const XfcError& e) {
-      std::lock_guard<std::mutex> lock(report_mutex);
-      report.errors.push_back({info.name, t, info.tiles[t].offset, e.what()});
-    }
-  });
-
-  return Field(info.name, std::move(out));
+  std::vector<Request> requests;
+  requests.reserve(fields_.size());
+  for (std::size_t i = 0; i < fields_.size(); ++i)
+    requests.push_back({i, TileBox{.extents = fields_[i].shape}});
+  return execute(requests, nullptr, TileFillPolicy::kZero);
 }
 
 Field ArchiveReader::read_field_partial(const std::string& name,
                                         ArchiveReadReport& report,
                                         TileFillPolicy fill) const {
   const ArchiveFieldInfo& info = require(name);
-  const std::size_t ndim = info.shape.ndim();
-  std::size_t lo[3] = {0, 0, 0};
-  std::size_t hi[3];
-  for (std::size_t d = 0; d < ndim; ++d) hi[d] = info.shape[d];
-  Field out = decode_region_partial(
-      info, std::span<const std::size_t>(lo, ndim),
-      std::span<const std::size_t>(hi, ndim), report, fill, {});
-  sort_tile_errors(report.errors);
-  return out;
+  return read_box(info, TileBox{.extents = info.shape}, &report, fill);
 }
 
 Field ArchiveReader::read_region_partial(const std::string& name,
@@ -808,10 +698,8 @@ Field ArchiveReader::read_region_partial(const std::string& name,
                                          std::span<const std::size_t> hi,
                                          ArchiveReadReport& report,
                                          TileFillPolicy fill) const {
-  Field out =
-      decode_region_partial(require(name), lo, hi, report, fill, {});
-  sort_tile_errors(report.errors);
-  return out;
+  const ArchiveFieldInfo& info = require(name);
+  return read_box(info, region_box(info, lo, hi), &report, fill);
 }
 
 ArchiveScrubReport ArchiveReader::scrub() const {
@@ -821,7 +709,7 @@ ArchiveScrubReport ArchiveReader::scrub() const {
     report.tiles_total += f.tiles.size();
     for_each_tile_parallel(0, f.tiles.size(), [&](std::size_t t) {
       try {
-        (void)tile_bytes(f, t);  // read + CRC verify, no decode
+        (void)read_tile_bytes(f, t);  // read + CRC verify, no decode
         std::lock_guard<std::mutex> lock(report_mutex);
         ++report.tiles_ok;
       } catch (const XfcError& e) {

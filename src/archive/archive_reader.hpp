@@ -3,23 +3,26 @@
 
 /// \file archive_reader.hpp
 /// Seek-and-decode side of the XFA1 tiled archive (layout documented in
-/// archive_writer.hpp). A reader validates the header/trailer magics and the
-/// footer CRC once, then serves three access paths off the tile index:
+/// archive_writer.hpp). Opening validates the header/trailer magics, the
+/// footer CRC and the anchor graph, and keeps the fields' dependency order
+/// (anchors before their targets).
 ///
-///   read_all()     — every field, decoded tile-parallel, anchors resolved
-///                    in dependency order (mirrors decompress_all).
-///   read_field(n)  — one field; cross-field targets pull in only their
-///                    anchor fields.
-///   read_region(n, lo, hi) — only the tiles intersecting [lo, hi) are
-///                    read and decoded; output is bit-identical to cropping
-///                    a full decode (tiles are independent streams).
+/// Every direct read — read_field, read_region, read_all, the partial
+/// variants, and read_tile without a fetcher — runs one plan and one
+/// executor. The plan is the tile-aligned box each field of the request's
+/// anchor closure must decode: a cross-field target decodes whole tile
+/// boxes against the same boxes of its anchors, so its box is pushed down
+/// to its anchors. The executor decodes those boxes field by field in
+/// dependency order, tile-parallel within a field, and crops each target
+/// tile's anchor boxes from its anchors' decoded boxes. Region output is
+/// bit-identical to cropping a full decode (tiles are independent streams).
 ///
-/// Every access path verifies the per-tile CRC before parsing a body, and
+/// Every tile decode verifies the per-tile CRC before parsing a body, and
 /// every malformed-archive condition — truncation, bit flips, shuffled or
-/// cross-wired index entries, anchor cycles — surfaces as CorruptStream.
+/// cross-wired index entries, dangling or cyclic anchors — surfaces as
+/// CorruptStream.
 
 #include <functional>
-#include <map>
 #include <memory>
 #include <span>
 #include <string>
@@ -115,27 +118,28 @@ struct ArchiveFieldInfo {
 };
 
 /// Throws CorruptStream if the fields' anchor references dangle, disagree
-/// on shape, or form a cycle. The serving layer's tile cache calls this
-/// once per archive so its per-tile decode recursion (and the single-flight
-/// waits that follow anchor edges across threads) is guaranteed to walk a
-/// DAG and terminate.
-void validate_anchor_graph(const std::vector<ArchiveFieldInfo>& fields);
+/// on shape, or form a cycle. Otherwise returns the field indices in
+/// dependency order: every field after all of its anchors. ArchiveReader
+/// runs this on every index it parses, so any recursion over a reader's
+/// anchor edges (the tile cache's anchor fetches and the single-flight
+/// waits that follow them across threads) walks a DAG and terminates.
+std::vector<std::size_t> validate_anchor_graph(
+    const std::vector<ArchiveFieldInfo>& fields);
 
 /// Anchor-tile provider for ArchiveReader::read_tile: returns the decoded
 /// tile `ordinal` of `field`'s own grid. A serving-layer cache injects
 /// itself here so anchor tiles decode once and get shared across requests.
-/// Callers supplying a fetcher must have validated the anchor graph
-/// (validate_anchor_graph) — the fetcher, not the reader, owns cycle
-/// prevention on that path.
 using TileFetch = std::function<std::shared_ptr<const Field>(
     const ArchiveFieldInfo& field, std::size_t ordinal)>;
 
 class ArchiveReader {
  public:
   /// Takes ownership of an arbitrary source; validates and parses the
-  /// index. Recovery-on-open: when the bytes at EOF do not form a valid
-  /// trailer (a crashed append left a torn tail), the reader scans
-  /// backward for the newest CRC-valid trailer and opens the archive as of
+  /// index, anchor graph included (validate_anchor_graph — an index whose
+  /// anchors dangle, disagree on shape or form a cycle is corrupt).
+  /// Recovery-on-open: when the bytes at EOF do not form a valid trailer
+  /// (a crashed append left a torn tail), the reader scans backward for
+  /// the newest trailer whose index validates and opens the archive as of
   /// that commit point — the partially appended epoch is absent, never
   /// wrong. The discarded tail length is reported by
   /// recovered_bytes_discarded(); a stream with no valid trailer at all
@@ -167,29 +171,31 @@ class ArchiveReader {
   std::uint32_t epoch_count() const;
 
   /// Full decode of one field (tile-parallel). Cross-field targets decode
-  /// their anchors first; the anchor tiles handed to the codec are the
+  /// their anchors first; the anchor boxes handed to the codec are the
   /// reader's own decoded tiles, which match the writer's reconstructions
   /// bit-exactly (the tiled anchor contract).
   Field read_field(const std::string& name) const;
 
   /// Decodes only the tiles intersecting the half-open region [lo, hi)
-  /// (rank-sized bounds) and returns the assembled (hi-lo)-shaped field.
-  /// Bit-identical to cropping read_field's output.
+  /// (rank-sized bounds), plus the anchor tiles those need, and returns
+  /// the assembled (hi-lo)-shaped field. Bit-identical to cropping
+  /// read_field's output.
   Field read_region(const std::string& name, std::span<const std::size_t> lo,
                     std::span<const std::size_t> hi) const;
 
-  /// Decodes every field, in archive order, sharing one anchor cache.
+  /// Decodes every field, returned in archive order; each field decodes
+  /// once, anchors included.
   std::vector<Field> read_all() const;
 
   /// Decodes exactly one tile (row-major grid ordinal) of one field — the
   /// serving layer's unit of work. Thread-safe: the reader is immutable
   /// after construction and file-backed sources use positional reads, so
   /// any number of threads may decode tiles of one reader concurrently.
-  /// Cross-field tiles assemble their anchor boxes from whole anchor tiles:
-  /// through `fetch` when given (a cache sharing decoded tiles), else by
-  /// decoding the anchor tiles directly (cycles surface as CorruptStream).
-  /// Either way the bytes are identical to the corresponding crop of
-  /// read_field — tiles are independent streams.
+  /// A cross-field tile needs its anchors' boxes over the same box: with
+  /// `fetch` (a cache sharing decoded tiles) they are assembled from whole
+  /// anchor tiles; without one the tile is read through the same plan and
+  /// executor as read_region. Either way the bytes are identical to the
+  /// corresponding crop of read_field — tiles are independent streams.
   Field read_tile(const ArchiveFieldInfo& info, std::size_t ordinal,
                   const TileFetch& fetch = {}) const;
 
@@ -225,39 +231,35 @@ class ArchiveReader {
   ArchiveScrubReport scrub() const;
 
  private:
+  /// One direct read: a box of one field (defined with the executor).
+  struct Request;
+
   void parse_index();
   /// Strict single-commit-point parse: validates the trailer ending at
-  /// `logical_end` and fills `out` from its footer. Throws CorruptStream on
-  /// any malformation; touches nothing outside [0, logical_end).
-  void parse_index_at(std::size_t logical_end,
-                      std::vector<ArchiveFieldInfo>& out) const;
+  /// `logical_end`, fills `out` from its footer and returns its dependency
+  /// order. Throws CorruptStream on any malformation, anchor graph
+  /// included; touches nothing outside [0, logical_end).
+  std::vector<std::size_t> parse_index_at(
+      std::size_t logical_end, std::vector<ArchiveFieldInfo>& out) const;
   const ArchiveFieldInfo& require(const std::string& name) const;
-  std::vector<std::uint8_t> tile_bytes(const ArchiveFieldInfo& info,
-                                       std::size_t ordinal) const;
-  Field decode_tile_impl(const ArchiveFieldInfo& info, std::size_t ordinal,
-                         const TileFetch& fetch,
-                         std::vector<std::string>& visiting) const;
-  Field assemble_anchor_box(const ArchiveFieldInfo& anchor, const TileBox& box,
-                            const TileFetch& fetch,
-                            std::vector<std::string>& visiting) const;
-  Field decode_full(const ArchiveFieldInfo& info,
-                    std::map<std::string, Field>& cache,
-                    std::vector<std::string>& visiting) const;
-  // `visiting` is the anchor chain of the current recursion path (passed
-  // by value — each path owns its copy); revisiting a name means the index
-  // declares an anchor cycle.
-  Field decode_region(const ArchiveFieldInfo& info,
-                      std::span<const std::size_t> lo,
-                      std::span<const std::size_t> hi,
-                      std::vector<std::string> visiting) const;
-  Field decode_region_partial(const ArchiveFieldInfo& info,
-                              std::span<const std::size_t> lo,
-                              std::span<const std::size_t> hi,
-                              ArchiveReadReport& report, TileFillPolicy fill,
-                              std::vector<std::string> visiting) const;
+  std::size_t index_of(const std::string& name) const;
+  /// The one per-tile decode step: CRC-checked body, codec, shape check.
+  Field decode_tile(const ArchiveFieldInfo& info, std::size_t ordinal,
+                    const TileBox& box,
+                    const std::vector<const Field*>& anchors) const;
+  /// Plans and executes `requests` (at most one per field), returning one
+  /// field per request. Strict without a report (the first tile error
+  /// throws); contained with one (failed tiles hold `fill`, and so does
+  /// every tile whose box touches a failed anchor tile).
+  std::vector<Field> execute(const std::vector<Request>& requests,
+                             ArchiveReadReport* report,
+                             TileFillPolicy fill) const;
+  Field read_box(const ArchiveFieldInfo& info, const TileBox& box,
+                 ArchiveReadReport* report, TileFillPolicy fill) const;
 
   std::unique_ptr<ByteSource> source_;
   std::vector<ArchiveFieldInfo> fields_;
+  std::vector<std::size_t> order_;  // fields_ indices, anchors first
   std::size_t logical_size_ = 0;
   std::size_t recovered_bytes_discarded_ = 0;
 };

@@ -48,25 +48,16 @@ std::vector<std::uint8_t> encode_fill_tile(const ArchiveFieldInfo& info,
 
 /// True when `name` and its whole transitive anchor closure have zero
 /// damaged tiles — the precondition for keeping a cross-field target.
-/// Memoised; a cycle or dangling anchor in the (possibly damaged) index
-/// counts as a lost closure, never as an error.
+/// Memoised; the reader validated the anchor graph at open, so the
+/// recursion walks a DAG.
 bool closure_ok(const ArchiveReader& in, const std::string& name,
-                const std::map<std::string, const std::set<std::size_t>*>& bad,
-                std::map<std::string, bool>& memo,
-                std::set<std::string>& visiting) {
+                const std::map<std::string, std::set<std::size_t>>& bad,
+                std::map<std::string, bool>& memo) {
   const auto m = memo.find(name);
   if (m != memo.end()) return m->second;
-  if (!visiting.insert(name).second) return false;  // cycle: closure lost
-
-  bool ok = false;
-  const ArchiveFieldInfo* info = in.find(name);
-  if (info != nullptr) {
-    const auto b = bad.find(name);
-    ok = b == bad.end() || b->second->empty();
-    for (const std::string& a : info->anchors)
-      ok = ok && closure_ok(in, a, bad, memo, visiting);
-  }
-  visiting.erase(name);
+  bool ok = bad.count(name) == 0;
+  for (const std::string& a : in.find(name)->anchors)
+    ok = ok && closure_ok(in, a, bad, memo);
   memo.emplace(name, ok);
   return ok;
 }
@@ -81,8 +72,6 @@ RepairReport archive_repair(const ArchiveReader& in, ByteSink& out) {
   std::map<std::string, std::set<std::size_t>> bad_tiles;
   for (const ArchiveTileError& e : report.scrub.errors)
     bad_tiles[e.field].insert(e.ordinal);
-  std::map<std::string, const std::set<std::size_t>*> bad_view;
-  for (const auto& [name, set] : bad_tiles) bad_view.emplace(name, &set);
 
   std::map<std::string, bool> closure_memo;
   ArchiveWriter writer(out);
@@ -97,8 +86,7 @@ RepairReport archive_repair(const ArchiveReader& in, ByteSink& out) {
         bit == bad_tiles.end() ? empty : bit->second;
 
     if (info.cross_field) {
-      std::set<std::string> visiting;
-      if (closure_ok(in, info.name, bad_view, closure_memo, visiting)) {
+      if (closure_ok(in, info.name, bad_tiles, closure_memo)) {
         writer.add_prebuilt_field(info, [&](std::size_t t) {
           return in.read_tile_bytes(info, t);
         });

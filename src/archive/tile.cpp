@@ -7,6 +7,7 @@
 
 #include "core/error.hpp"
 #include "core/utils.hpp"
+#include "sz/container.hpp"
 
 namespace xfc {
 
@@ -16,9 +17,16 @@ TileGrid::TileGrid(const Shape& field, const Shape& tile)
           "TileGrid: field rank must be 1..3");
   expects(tile.ndim() == field.ndim(),
           "TileGrid: tile rank must match the field rank");
+  // The tile shape is stored in the archive index, so it must be one that
+  // read_shape accepts back.
   num_tiles_ = 1;
+  std::size_t tile_values = 1;
   for (std::size_t d = 0; d < field.ndim(); ++d) {
-    expects(tile[d] >= 1, "TileGrid: tile extents must be >= 1");
+    expects(tile[d] >= 1 && tile[d] <= kMaxShapeExtent,
+            "TileGrid: tile extents must be in [1, 2^32]");
+    expects(tile_values <= kMaxShapeElements / tile[d],
+            "TileGrid: a tile may hold at most 2^36 values");
+    tile_values *= tile[d];
     expects(field[d] >= 1, "TileGrid: field extents must be >= 1");
     counts_[d] = ceil_div(field[d], tile[d]);
     num_tiles_ *= counts_[d];

@@ -32,7 +32,9 @@ struct TileBox {
 /// Row-major grid of tiles covering a field shape.
 class TileGrid {
  public:
-  /// `tile` must have the same rank as `field`, with every extent >= 1.
+  /// `tile` must have the same rank as `field`, with every extent in
+  /// [1, 2^32] and at most 2^36 values in all — the shapes an archive index
+  /// can hold. Throws InvalidArgument otherwise.
   TileGrid(const Shape& field, const Shape& tile);
 
   /// Default tile extents per rank: {1<<16} for 1D, {256,256} for 2D,

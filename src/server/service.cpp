@@ -396,8 +396,8 @@ HttpResponse ArchiveService::handle_region(const ArchiveReader& reader,
   };
   for (const std::size_t t : tiles) fold_crc(info->tiles[t].crc);
   if (!info->anchors.empty()) {
-    // Anchor closure, breadth-first; the cache's add_archive already
-    // validated the anchor graph as a DAG, so this terminates.
+    // Anchor closure, breadth-first; the reader validated the anchor graph
+    // as a DAG at open, so this terminates.
     std::vector<const ArchiveFieldInfo*> queue{info};
     std::set<std::string> seen{info->name};
     while (!queue.empty()) {
@@ -406,7 +406,6 @@ HttpResponse ArchiveService::handle_region(const ArchiveReader& reader,
       for (const std::string& a : f->anchors) {
         if (!seen.insert(a).second) continue;
         const ArchiveFieldInfo* ai = reader.find(a);
-        if (ai == nullptr) continue;  // unreachable post-validation
         for (const ArchiveTileInfo& t : ai->tiles) fold_crc(t.crc);
         queue.push_back(ai);
       }

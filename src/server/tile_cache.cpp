@@ -126,9 +126,6 @@ std::shared_ptr<TileCache::ArchiveHeat> TileCache::make_heat(
 std::uint64_t TileCache::add_archive(
     std::shared_ptr<const ArchiveReader> reader) {
   expects(reader != nullptr, "TileCache: null reader");
-  // An acyclic anchor graph is what makes the recursive anchor gets (and
-  // the cross-thread waits they can chain into) provably deadlock-free.
-  validate_anchor_graph(reader->fields());
   auto heat = make_heat(*reader);
   const std::lock_guard<std::mutex> lock(archives_mutex_);
   archives_.push_back(std::move(reader));
@@ -139,7 +136,6 @@ std::uint64_t TileCache::add_archive(
 void TileCache::update_archive(std::uint64_t archive_id,
                                std::shared_ptr<const ArchiveReader> reader) {
   expects(reader != nullptr, "TileCache: null reader");
-  validate_anchor_graph(reader->fields());
   // Fresh heat: tile grids may have grown (new fields, replaced geometry),
   // and heat is demand history anyway — the epoch decay would age it out.
   auto heat = make_heat(*reader);

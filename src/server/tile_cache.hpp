@@ -17,10 +17,10 @@
 /// decodes it; the rest block on the in-flight entry and share the result.
 /// Cross-field tiles resolve their anchor tiles back through the cache
 /// (get() hands the reader a TileFetch bound to itself), so anchors are
-/// decoded once and shared too. The anchor graph is validated acyclic at
-/// add_archive() time, which is what guarantees the recursive gets — and
-/// the cross-thread single-flight waits that follow anchor edges — always
-/// terminate.
+/// decoded once and shared too. Every ArchiveReader validates its anchor
+/// graph at open (a dangling or cyclic anchor is a corrupt index), which
+/// is what guarantees the recursive gets — and the cross-thread
+/// single-flight waits that follow anchor edges — always terminate.
 
 #include <atomic>
 #include <cstdint>
@@ -101,9 +101,8 @@ class TileCache {
   TileCache(const TileCache&) = delete;
   TileCache& operator=(const TileCache&) = delete;
 
-  /// Registers an archive and returns the id used in keys. Validates the
-  /// anchor graph (throws CorruptStream on cycles/dangles — see file
-  /// comment). The reader is shared so it outlives any in-flight decode.
+  /// Registers an archive and returns the id used in keys. The reader is
+  /// shared so it outlives any in-flight decode.
   std::uint64_t add_archive(std::shared_ptr<const ArchiveReader> reader);
 
   /// Swaps the reader registered under `archive_id` for a fresh one — the
@@ -113,8 +112,7 @@ class TileCache {
   /// cached tiles of unchanged fields stay valid and warm; the caller
   /// invalidates the fields the epoch actually replaced. Requests already
   /// holding the old reader finish against it (it is shared). Throws
-  /// InvalidArgument for an unknown id, CorruptStream for a bad anchor
-  /// graph.
+  /// InvalidArgument for an unknown id.
   void update_archive(std::uint64_t archive_id,
                       std::shared_ptr<const ArchiveReader> reader);
 

@@ -66,17 +66,16 @@ void write_shape(ByteWriter& out, const Shape& shape) {
 Shape read_shape(ByteReader& in) {
   const std::uint8_t ndim = in.u8();
   if (ndim < 1 || ndim > 3) throw CorruptStream("container: bad rank");
-  constexpr std::size_t kMaxElements = std::size_t{1} << 36;
   std::size_t dims[3] = {0, 0, 0};
   std::size_t total = 1;
   for (std::size_t d = 0; d < ndim; ++d) {
     dims[d] = in.varint();
-    if (dims[d] == 0 || dims[d] > (std::size_t{1} << 32))
+    if (dims[d] == 0 || dims[d] > kMaxShapeExtent)
       throw CorruptStream("container: bad extent");
     // Divide-before-multiply: two 2^32 extents would wrap the running
     // product on 64-bit size_t and sail past the cap, and the resulting
     // nonsense count reaches allocations.
-    if (total > kMaxElements / dims[d])
+    if (total > kMaxShapeElements / dims[d])
       throw CorruptStream("container: absurd element count");
     total *= dims[d];
   }

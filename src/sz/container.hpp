@@ -59,7 +59,11 @@ class TrustedParseScope {
 /// tests).
 bool container_parse_trusted();
 
-/// Shape <-> bytes helpers shared by codec headers.
+/// Shape <-> bytes helpers shared by codec headers. read_shape refuses
+/// (CorruptStream) any extent above kMaxShapeExtent and any element count
+/// above kMaxShapeElements.
+inline constexpr std::size_t kMaxShapeExtent = std::size_t{1} << 32;
+inline constexpr std::size_t kMaxShapeElements = std::size_t{1} << 36;
 void write_shape(ByteWriter& out, const Shape& shape);
 Shape read_shape(ByteReader& in);
 

@@ -1,17 +1,24 @@
 // XFA1 tiled-archive tests: grid geometry, per-codec round trips at the
 // monolithic error bound, region reads bit-identical to cropped full
-// decodes, the tiled anchor contract for cross-field targets, and the
-// file-backed path.
+// decodes, the tiled anchor contract for cross-field targets (targets tiled
+// unlike their anchors, anchor chains, degraded reads), anchor-graph
+// validation at open, and the file-backed path.
 
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
 #include <atomic>
 #include <cmath>
+#include <cstdint>
 #include <cstdio>
 #include <cstring>
+#include <map>
+#include <set>
 #include <thread>
 
 #include "archive/archive_appender.hpp"
+#include "archive/archive_format.hpp"
 #include "archive/archive_reader.hpp"
 #include "archive/archive_writer.hpp"
 #include "archive/tile.hpp"
@@ -19,6 +26,7 @@
 #include "crossfield/multifield.hpp"
 #include "io/file.hpp"
 #include "metrics/metrics.hpp"
+#include "server/tile_cache.hpp"
 #include "sz/compressor.hpp"
 #include "test_util.hpp"
 
@@ -96,6 +104,24 @@ TEST(TileGrid, TilesInRegion) {
   // The whole field touches every tile.
   const std::size_t lo3[] = {0, 0}, hi3[] = {64, 64};
   EXPECT_EQ(g.tiles_in_region(lo3, hi3).size(), 16u);
+}
+
+TEST(TileGrid, RejectsTileShapesTheIndexCannotHold) {
+  // The archive index stores the tile shape, and read_shape refuses any
+  // extent above 2^32 and any tile of more than 2^36 values.
+  constexpr std::size_t kCap = std::size_t{1} << 32;
+  // A negative edge wrapped by strtoull.
+  EXPECT_THROW(TileGrid(Shape{64, 64}, Shape{SIZE_MAX, SIZE_MAX}),
+               InvalidArgument);
+  EXPECT_THROW(TileGrid(Shape{64, 64}, Shape{kCap + 1, 16}), InvalidArgument);
+  EXPECT_THROW(TileGrid(Shape{64, 64}, Shape{kCap, kCap}), InvalidArgument);
+  EXPECT_THROW(TileGrid(Shape{64, 64, 64}, Shape{1u << 12, 1u << 12, 1u << 13}),
+               InvalidArgument);
+
+  // The cap itself is a legal (field-clipped) tile.
+  const TileGrid g(Shape{64}, Shape{kCap});
+  EXPECT_EQ(g.num_tiles(), 1u);
+  EXPECT_EQ(g.box(0).extents, (Shape{64}));
 }
 
 TEST(TileGrid, ExtractInsertRoundTrip3D) {
@@ -365,6 +391,248 @@ TEST(Archive, MultiFieldWriteArchiveRoundTrips) {
   }
 }
 
+// -- One read path over mixed tilings and anchor chains ----------------------
+
+/// An archive of cross-field targets plus the writer's reconstruction of
+/// every field in it.
+struct AnchoredArchive {
+  std::vector<std::uint8_t> bytes;
+  std::map<std::string, Field> recon;
+  std::string target;  // the field whose anchor closure is everything
+};
+
+/// Two anchors tiled 16x16 and a target over both tiled 24x20, so target
+/// tiles straddle anchor tiles.
+AnchoredArchive mixed_tiling_archive() {
+  const TinySet s = make_tiny(Shape{40, 48}, 53);
+  ArchiveFieldOptions opts;
+  opts.eb = ErrorBound::relative(1e-3);
+  opts.tile = Shape{16, 16};
+  opts.keep_reconstruction = true;
+  ArchiveFieldOptions target_opts = opts;
+  target_opts.tile = Shape{24, 20};
+  const CfnnModel model = train_cross_field_model(
+      s.target, {&s.a0, &s.a1}, CfnnConfig{8, 4, 3}, quick_train());
+
+  VectorSink sink;
+  ArchiveWriter writer(sink);
+  writer.add_field(s.a0, opts);
+  writer.add_field(s.a1, opts);
+  writer.add_cross_field(s.target, {"A0", "A1"}, model, target_opts);
+  writer.finish();
+  AnchoredArchive out;
+  for (const char* name : {"A0", "A1", "TGT"})
+    out.recon.emplace(name, *writer.reconstruction(name));
+  out.bytes = sink.take();
+  out.target = "TGT";
+  return out;
+}
+
+/// The chain T2 -> T1 -> A, every link tiled differently.
+AnchoredArchive chained_archive() {
+  const TinySet s = make_tiny(Shape{40, 48}, 59);
+  Rng rng(61);
+  Field t2("T2", F32Array(s.target.shape()));
+  for (std::size_t i = 0; i < t2.size(); ++i)
+    t2.array()[i] = static_cast<float>(0.6 * s.target.array()[i] +
+                                       rng.normal(0, 0.05));
+  const Field a("A", s.a0.array());
+  const Field t1("T1", s.target.array());
+
+  ArchiveFieldOptions opts;
+  opts.eb = ErrorBound::relative(1e-3);
+  opts.keep_reconstruction = true;
+  VectorSink sink;
+  ArchiveWriter writer(sink);
+  opts.tile = Shape{16, 16};
+  writer.add_field(a, opts);
+  opts.tile = Shape{24, 20};
+  writer.add_cross_field(
+      t1, {"A"},
+      train_cross_field_model(t1, {&a}, CfnnConfig{8, 4, 3}, quick_train()),
+      opts);
+  opts.tile = Shape{16, 28};
+  writer.add_cross_field(
+      t2, {"T1"},
+      train_cross_field_model(t2, {&t1}, CfnnConfig{8, 4, 3}, quick_train()),
+      opts);
+  writer.finish();
+  AnchoredArchive out;
+  for (const char* name : {"A", "T1", "T2"})
+    out.recon.emplace(name, *writer.reconstruction(name));
+  out.bytes = sink.take();
+  out.target = "T2";
+  return out;
+}
+
+F32Array crop(const F32Array& src, const std::size_t* lo,
+              const std::size_t* hi) {
+  F32Array out(Shape{hi[0] - lo[0], hi[1] - lo[1]});
+  const std::size_t zero[2] = {0, 0};
+  copy_region(out, zero, src, lo, out.shape());
+  return out;
+}
+
+bool boxes_touch(const TileBox& a, const TileBox& b) {
+  for (std::size_t d = 0; d < a.extents.ndim(); ++d)
+    if (a.lo[d] + a.extents[d] <= b.lo[d] || b.lo[d] + b.extents[d] <= a.lo[d])
+      return false;
+  return true;
+}
+
+/// Every direct read of every field must reproduce the writer's
+/// reconstruction bit for bit: whole fields, region crops, single tiles with
+/// and without a tile cache, read_all, and clean partial reads.
+void expect_reads_match_writer(const AnchoredArchive& a) {
+  const auto reader = std::make_shared<const ArchiveReader>(
+      ArchiveReader::open_memory(a.bytes));
+  server::TileCache cache;
+  const std::uint64_t id = cache.add_archive(reader);
+  for (std::size_t fi = 0; fi < reader->fields().size(); ++fi) {
+    const ArchiveFieldInfo& info = reader->fields()[fi];
+    const F32Array& want = a.recon.at(info.name).array();
+    ASSERT_EQ(reader->read_field(info.name).array(), want) << info.name;
+
+    const std::size_t regions[][2][2] = {{{10, 12}, {30, 40}},
+                                         {{23, 19}, {25, 21}},
+                                         {{39, 47}, {40, 48}},
+                                         {{5, 0}, {6, 48}},
+                                         {{0, 30}, {40, 31}}};
+    for (const auto& r : regions)
+      EXPECT_EQ(reader->read_region(info.name, r[0], r[1]).array(),
+                crop(want, r[0], r[1]))
+          << info.name << " region at " << r[0][0] << "," << r[0][1];
+
+    const TileGrid grid(info.shape, info.tile);
+    for (std::size_t t = 0; t < grid.num_tiles(); ++t) {
+      const F32Array tile = extract_tile(want, grid.box(t));
+      EXPECT_EQ(reader->read_tile(info, t, {}).array(), tile)
+          << info.name << " tile " << t;
+      EXPECT_EQ(cache.get(id, fi, t)->array(), tile)
+          << info.name << " cached tile " << t;
+    }
+
+    ArchiveReadReport report;
+    EXPECT_EQ(reader->read_field_partial(info.name, report).array(), want);
+    EXPECT_TRUE(report.complete()) << info.name;
+    EXPECT_EQ(report.tiles_ok, report.tiles_total) << info.name;
+  }
+  const std::vector<Field> all = reader->read_all();
+  ASSERT_EQ(all.size(), a.recon.size());
+  for (const Field& f : all)
+    EXPECT_EQ(f.array(), a.recon.at(f.name()).array()) << f.name();
+}
+
+/// Damages one tile of `field`, then requires a contained read of the
+/// target to fail exactly the tiles the damage reaches: the damaged tile,
+/// and every tile whose box touches a failed tile of one of its anchors.
+/// Everything else must still match the writer bit for bit.
+void expect_damage_fails_only_touching_tiles(const AnchoredArchive& a,
+                                             const std::string& field,
+                                             std::size_t ordinal) {
+  std::vector<std::uint8_t> damaged = a.bytes;
+  {
+    const ArchiveReader clean = ArchiveReader::open_memory(a.bytes);
+    const ArchiveTileInfo& t = clean.find(field)->tiles[ordinal];
+    damaged[t.offset + t.size / 2] ^= 0x10;
+  }
+  const ArchiveReader reader = ArchiveReader::open_memory(damaged);
+
+  // The oracle: walk the fields in archive order (anchors come first) and
+  // fail every tile touching a failed anchor tile.
+  std::map<std::string, std::vector<TileBox>> failed;
+  std::set<std::pair<std::string, std::size_t>> expected;
+  for (const ArchiveFieldInfo& info : reader.fields()) {
+    const TileGrid grid(info.shape, info.tile);
+    for (std::size_t t = 0; t < grid.num_tiles(); ++t) {
+      const TileBox box = grid.box(t);
+      bool fails = info.name == field && t == ordinal;
+      for (const std::string& an : info.anchors)
+        for (const TileBox& bad : failed[an])
+          fails = fails || boxes_touch(box, bad);
+      if (!fails) continue;
+      failed[info.name].push_back(box);
+      expected.emplace(info.name, t);
+    }
+  }
+  ASSERT_GT(expected.size(), 2u);  // the damage reaches past its own field
+
+  EXPECT_THROW(reader.read_field(a.target), CorruptStream);
+  ArchiveReadReport report;
+  const Field out = reader.read_field_partial(a.target, report);
+  std::set<std::pair<std::string, std::size_t>> got;
+  for (const ArchiveTileError& e : report.errors) {
+    got.emplace(e.field, e.ordinal);
+    if (e.field != field) {
+      EXPECT_NE(e.message.find("anchor"), std::string::npos) << e.message;
+    }
+  }
+  EXPECT_EQ(got, expected);
+  EXPECT_EQ(report.tiles_ok + report.errors.size(), report.tiles_total);
+
+  const F32Array& want = a.recon.at(a.target).array();
+  const std::vector<TileBox>& holes = failed[a.target];
+  for (std::size_t i = 0; i < out.shape()[0]; ++i)
+    for (std::size_t j = 0; j < out.shape()[1]; ++j) {
+      const TileBox point{{{i, j, 0}}, Shape{1, 1}};
+      bool hole = false;
+      for (const TileBox& h : holes) hole = hole || boxes_touch(point, h);
+      ASSERT_EQ(out.array()(i, j), hole ? 0.0f : want(i, j))
+          << "(" << i << "," << j << ")";
+    }
+}
+
+TEST(ArchiveReadPath, TargetTiledUnlikeItsAnchors) {
+  const AnchoredArchive a = mixed_tiling_archive();
+  expect_reads_match_writer(a);
+  // Anchor tile 4 is the 16x16 center box; it touches four 24x20 target
+  // tiles.
+  expect_damage_fails_only_touching_tiles(a, "A0", 4);
+}
+
+TEST(ArchiveReadPath, AnchorChain) {
+  const AnchoredArchive a = chained_archive();
+  expect_reads_match_writer(a);
+  expect_damage_fails_only_touching_tiles(a, "A", 0);
+  expect_damage_fails_only_touching_tiles(a, "T1", 4);
+}
+
+TEST(ArchiveReadPath, OpenRejectsAnchorGraphsThatCannotDecode) {
+  // CRC-valid indexes with no tile bodies: only the anchor graph differs.
+  const auto index_only = [](const std::vector<ArchiveFieldInfo>& fields) {
+    VectorSink sink;
+    archive_write_header(sink);
+    archive_write_footer(sink, fields);
+    return sink.take();
+  };
+  const auto field = [](const std::string& name,
+                        std::vector<std::string> anchors, Shape shape) {
+    ArchiveFieldInfo f;
+    f.name = name;
+    f.cross_field = !anchors.empty();
+    f.codec = f.cross_field ? CodecId::kCrossField : CodecId::kSz;
+    f.abs_eb = 1e-3;
+    f.shape = shape;
+    f.tile = shape;
+    f.anchors = std::move(anchors);
+    f.tiles = {ArchiveTileInfo{kArchiveHeaderSize, 0, 0}};
+    return f;
+  };
+  const Shape s{8, 8};
+
+  const auto sound = index_only({field("A", {}, s), field("B", {"A"}, s)});
+  EXPECT_EQ(ArchiveReader::open_memory(sound).fields().size(), 2u);
+
+  const auto cycle =
+      index_only({field("A", {"B"}, s), field("B", {"A"}, s)});
+  EXPECT_THROW(ArchiveReader::open_memory(cycle), CorruptStream);
+  const auto dangling = index_only({field("A", {"missing"}, s)});
+  EXPECT_THROW(ArchiveReader::open_memory(dangling), CorruptStream);
+  const auto mismatched =
+      index_only({field("A", {}, s), field("B", {"A"}, Shape{8, 9})});
+  EXPECT_THROW(ArchiveReader::open_memory(mismatched), CorruptStream);
+}
+
 // -- Writer API misuse -------------------------------------------------------
 
 TEST(Archive, WriterRejectsMisuse) {
@@ -391,10 +659,30 @@ TEST(Archive, WriterRejectsMisuse) {
   EXPECT_THROW(writer.add_field(g, ArchiveFieldOptions{}), InvalidArgument);
 }
 
+TEST(Archive, WriterRefusesTilesItsReaderWouldRefuse) {
+  const Field f = smooth_field("f", Shape{64}, 45);
+  VectorSink sink;
+  ArchiveWriter writer(sink);
+  ArchiveFieldOptions opts;
+  opts.tile = Shape{(std::size_t{1} << 32) + 1};
+  EXPECT_THROW(writer.add_field(f, opts), InvalidArgument);
+  opts.tile = Shape{std::size_t{1} << 32};
+  writer.add_field(f, opts);
+  writer.finish();
+  const auto bytes = sink.take();
+  const ArchiveReader reader = ArchiveReader::open_memory(bytes);
+  EXPECT_EQ(reader.find("f")->tile, opts.tile);
+  EXPECT_EQ(reader.read_field("f").shape(), f.shape());
+}
+
 // -- File-backed path --------------------------------------------------------
 
 TEST(Archive, FileBackedWriteAndSeekingRead) {
-  const std::string path = ::testing::TempDir() + "xfc_test_archive.xfa";
+  // Per-process names: test_archive and test_archive_mt4 run concurrently
+  // under `ctest -j`, and FileSink's temp+rename commit must not race a
+  // sibling process on the same path.
+  const std::string path = ::testing::TempDir() + "xfc_test_archive." +
+                           std::to_string(::getpid()) + ".xfa";
   const Field f = smooth_field("fld", Shape{64, 64}, 43);
   {
     FileSink sink(path);
@@ -425,19 +713,34 @@ TEST(Archive, ConcurrentReadsFromOneFileBackedReader) {
   // many threads hammering one reader must all see the single-threaded
   // bytes. (Pre-fix the mutex hid the race; this pins the contract so a
   // future "optimization" back to a shared cursor fails loudly.)
-  const std::string path = ::testing::TempDir() + "xfc_test_archive_mt.xfa";
+  const std::string path = ::testing::TempDir() + "xfc_test_archive_mt." +
+                           std::to_string(::getpid()) + ".xfa";
+  // A cross-field target, tiled unlike its anchor, puts the executor's
+  // anchors-first tile-parallel decode under the same concurrency.
   const Field f = smooth_field("fld", Shape{128, 128}, 77);
+  Rng rng(79);
+  Field g("tgt", F32Array(f.shape()));
+  for (std::size_t i = 0; i < g.size(); ++i)
+    g.array()[i] =
+        static_cast<float>(0.7 * f.array()[i] + rng.normal(0, 0.05));
   {
     FileSink sink(path);
     ArchiveWriter writer(sink);
     ArchiveFieldOptions opts;
     opts.tile = Shape{16, 16};  // 64 tiles: plenty of concurrent read_at
+    opts.keep_reconstruction = true;
     writer.add_field(f, opts);
+    opts.tile = Shape{32, 24};
+    writer.add_cross_field(
+        g, {"fld"},
+        train_cross_field_model(g, {&f}, CfnnConfig{8, 4, 3}, quick_train()),
+        opts);
     writer.finish();
   }
   const ArchiveReader reader = ArchiveReader::open_file(path);
-  const Field expected = reader.read_field("fld");
-  const ArchiveFieldInfo& info = *reader.find("fld");
+  std::map<std::string, Field> expected;
+  for (const char* name : {"fld", "tgt"})
+    expected.emplace(name, reader.read_field(name));
 
   constexpr int kThreads = 8;
   std::atomic<int> at_gate{0};
@@ -449,24 +752,25 @@ TEST(Archive, ConcurrentReadsFromOneFileBackedReader) {
       at_gate.fetch_add(1);
       while (at_gate.load() < kThreads) std::this_thread::yield();
       // Mix whole-field (tile-parallel), region, and single-tile reads.
-      const Field full = reader.read_field("fld");
-      if (full.array() != expected.array()) failures.fetch_add(1);
-      const std::size_t lo[] = {static_cast<std::size_t>(8 * i), 24};
-      const std::size_t hi[] = {lo[0] + 40, 120};
-      const Field region = reader.read_region("fld", lo, hi);
-      for (std::size_t r = 0; r < 40 && failures.load() == 0; ++r)
-        for (std::size_t c = 0; c < 96; ++c)
-          if (region.array()(r, c) !=
-              expected.array()(lo[0] + r, 24 + c)) {
-            failures.fetch_add(1);
-            break;
-          }
-      const Field tile = reader.read_tile(info, static_cast<std::size_t>(i),
-                                          {});
-      const TileGrid grid(info.shape, info.tile);
-      if (tile.array() !=
-          extract_tile(expected.array(), grid.box(i)))
-        failures.fetch_add(1);
+      for (const auto& [name, want] : expected) {
+        const Field full = reader.read_field(name);
+        if (full.array() != want.array()) failures.fetch_add(1);
+        const std::size_t lo[] = {static_cast<std::size_t>(8 * i), 24};
+        const std::size_t hi[] = {lo[0] + 40, 120};
+        const Field region = reader.read_region(name, lo, hi);
+        for (std::size_t r = 0; r < 40 && failures.load() == 0; ++r)
+          for (std::size_t c = 0; c < 96; ++c)
+            if (region.array()(r, c) != want.array()(lo[0] + r, 24 + c)) {
+              failures.fetch_add(1);
+              break;
+            }
+        const ArchiveFieldInfo& info = *reader.find(name);
+        const std::size_t t = static_cast<std::size_t>(i) % info.tiles.size();
+        const Field tile = reader.read_tile(info, t, {});
+        const TileGrid grid(info.shape, info.tile);
+        if (tile.array() != extract_tile(want.array(), grid.box(t)))
+          failures.fetch_add(1);
+      }
     });
   }
   for (auto& t : threads) t.join();

@@ -12,6 +12,8 @@
 
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
 #include <atomic>
 #include <cmath>
 #include <cstdio>
@@ -296,7 +298,10 @@ TEST(AccessLogTest, FormatsEntryCompactly) {
 }
 
 TEST(AccessLogTest, WritesOneLinePerEntry) {
-  const std::string path = testing::TempDir() + "xfc_obs_access_test.log";
+  // Per-process names: test_obs and test_obs_mt4 run concurrently under
+  // `ctest -j` and must not share a file.
+  const std::string path = testing::TempDir() + "xfc_obs_access_test." +
+                           std::to_string(::getpid()) + ".log";
   std::remove(path.c_str());
   {
     const auto log = obs::AccessLog::open(path);
@@ -697,7 +702,8 @@ TEST(ObsHttp, TraceDropCounterAccountsTruncatedSpanTrees) {
 // -- access-log rotation -----------------------------------------------------
 
 TEST(AccessLogTest, ReopenFollowsLogrotateRename) {
-  const std::string path = testing::TempDir() + "xfc_obs_rotate_test.log";
+  const std::string path = testing::TempDir() + "xfc_obs_rotate_test." +
+                           std::to_string(::getpid()) + ".log";
   const std::string rotated = path + ".1";
   std::remove(path.c_str());
   std::remove(rotated.c_str());
