@@ -516,9 +516,6 @@ int main(int argc, char** argv) {
       }
       for (auto& t : threads) t.join();
       const double elapsed_s = (now_ms() - t0) / 1000.0;
-      // Note: an XFC_NO_METRICS build compiles observe() out, so the
-      // percentile records read 0 there — that build exists only for the
-      // overhead A/B, where serve.json is not the artifact of interest.
       const auto snap = lat.snapshot();
       const std::string tag = "_c" + std::to_string(conns);
       json.add_value("serve_p50_us" + tag,

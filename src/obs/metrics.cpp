@@ -15,18 +15,12 @@
 
 namespace xfc::obs {
 
-#ifndef XFC_NO_METRICS
 namespace detail {
 
 std::atomic<bool>& enabled_flag() {
   static std::atomic<bool> flag{std::getenv("XFC_OBS_DISABLE") == nullptr};
   return flag;
 }
-
-}  // namespace detail
-#endif
-
-namespace detail {
 
 std::size_t thread_stripe() {
   static std::atomic<std::size_t> next{0};

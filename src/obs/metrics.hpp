@@ -17,12 +17,9 @@
 /// `ArchiveService` owns a private registry for its per-instance serving
 /// counters so tests and multi-service processes see isolated values.
 ///
-/// Compile-out: configuring with -DXFC_NO_METRICS=ON defines XFC_NO_METRICS
-/// and turns every mutation into a no-op (the registry still exists so
-/// exposition endpoints keep answering, with frozen values). Runtime:
-/// `set_enabled(false)` (or env XFC_OBS_DISABLE=1) short-circuits mutations
-/// behind a single relaxed bool load — this is what the bench overhead
-/// check toggles.
+/// Off switch: `set_enabled(false)` (or env XFC_OBS_DISABLE=1)
+/// short-circuits mutations behind a single relaxed bool load — this is
+/// what the bench overhead check toggles.
 
 #include <atomic>
 #include <cstdint>
@@ -37,10 +34,6 @@
 namespace xfc::obs {
 
 /// Runtime master switch for all metric mutation and span recording.
-#ifdef XFC_NO_METRICS
-constexpr bool enabled() { return false; }
-inline void set_enabled(bool) {}
-#else
 namespace detail {
 std::atomic<bool>& enabled_flag();
 }
@@ -50,7 +43,6 @@ inline bool enabled() {
 inline void set_enabled(bool on) {
   detail::enabled_flag().store(on, std::memory_order_relaxed);
 }
-#endif
 
 namespace detail {
 
@@ -75,13 +67,9 @@ class Counter {
   Counter& operator=(const Counter&) = delete;
 
   void add(std::uint64_t n = 1) {
-#ifndef XFC_NO_METRICS
     if (!enabled()) return;
     stripes_[detail::thread_stripe()].v.fetch_add(n,
                                                   std::memory_order_relaxed);
-#else
-    (void)n;
-#endif
   }
 
   std::uint64_t value() const {
@@ -103,12 +91,8 @@ class Gauge {
   Gauge& operator=(const Gauge&) = delete;
 
   void set(double v) {
-#ifndef XFC_NO_METRICS
     if (!enabled()) return;
     v_.store(v, std::memory_order_relaxed);
-#else
-    (void)v;
-#endif
   }
   double value() const { return v_.load(std::memory_order_relaxed); }
 
@@ -127,7 +111,6 @@ class Histogram {
   Histogram& operator=(const Histogram&) = delete;
 
   void observe(double v) {
-#ifndef XFC_NO_METRICS
     if (!enabled()) return;
     Stripe& s = stripes_[detail::thread_stripe()];
     s.counts[bucket_index(v)].fetch_add(1, std::memory_order_relaxed);
@@ -135,9 +118,6 @@ class Histogram {
     // double CAS loop; exact for latency-µs and byte-size observations.
     s.sum_micro.fetch_add(static_cast<std::uint64_t>(v * 1e6 + 0.5),
                           std::memory_order_relaxed);
-#else
-    (void)v;
-#endif
   }
 
   const std::vector<double>& bounds() const { return bounds_; }

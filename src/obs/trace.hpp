@@ -96,42 +96,32 @@ class TraceActivation {
 
 /// One instrumented stage: records a span on the active trace (if any) and
 /// optionally feeds a stage histogram, sharing a single clock-read pair.
-/// Compiles to nothing under XFC_NO_METRICS; costs one relaxed load when
-/// obs is runtime-disabled.
+/// Costs one relaxed load when obs is runtime-disabled.
 class SpanScope {
  public:
   explicit SpanScope(const char* name, Histogram* hist = nullptr) {
-#ifndef XFC_NO_METRICS
     if (!enabled()) return;
     t_ = Trace::current();
     h_ = hist;
     if (t_ == nullptr && h_ == nullptr) return;
     start_ns_ = monotonic_ns();
     if (t_ != nullptr) idx_ = t_->begin_at(name, start_ns_);
-#else
-    (void)name;
-    (void)hist;
-#endif
   }
   ~SpanScope() {
-#ifndef XFC_NO_METRICS
     if (t_ == nullptr && h_ == nullptr) return;
     const std::uint64_t now = monotonic_ns();
     if (t_ != nullptr) t_->end_at(idx_, now);
     if (h_ != nullptr)
       h_->observe(static_cast<double>(now - start_ns_) * 1e-3);
-#endif
   }
   SpanScope(const SpanScope&) = delete;
   SpanScope& operator=(const SpanScope&) = delete;
 
  private:
-#ifndef XFC_NO_METRICS
   Trace* t_ = nullptr;
   Histogram* h_ = nullptr;
   std::int32_t idx_ = -1;
   std::uint64_t start_ns_ = 0;
-#endif
 };
 
 }  // namespace xfc::obs

@@ -149,7 +149,6 @@ ArchiveService::ArchiveService(std::shared_ptr<const ArchiveReader> reader,
       ingest_epochs_(registry_.counter("xfs_ingest_epochs_total",
                                        "Epochs sealed by live ingest")) {
   expects(reader_ != nullptr, "ArchiveService: null reader");
-  archive_id_ = cache_.add_archive(reader_);
   // Cache and readiness counters stay owned by their structs; the registry
   // samples them at scrape time through callbacks.
   registry_.gauge_fn("xfs_ready", "1 while /readyz answers ready", [this] {
@@ -362,15 +361,18 @@ HttpResponse ArchiveService::handle_region(const ArchiveReader& reader,
     local_activation.emplace(&*local_trace);
   }
 
-  // Strong ETag from the index's per-tile CRCs (plus the query geometry
-  // and format): the response bytes are a pure function of the covered
-  // tile bodies — and, for cross-field targets, of their anchors' tile
-  // bodies, so the whole anchor closure's tile CRCs fold in too (coarsely:
-  // every anchor tile, not just the covering ones — an anchor re-encode
-  // may invalidate more tags than strictly necessary, but a 304 can never
-  // validate stale bytes). Equal tags therefore imply byte-identical
-  // responses, and computing the tag needs no tile decode at all — a 304
-  // costs only the index walk.
+  // Strong ETag from the index (plus the query geometry and format): the
+  // response bytes are a pure function of the covered tile bodies — and,
+  // for cross-field targets, of their anchors' tile bodies, so the whole
+  // anchor closure folds in too (coarsely: every anchor tile, not just the
+  // covering ones). Each field contributes its append epoch and its tiles'
+  // CRCs. The epoch is what tells two versions of a field apart: a tile
+  // body ends in its XFC1 container's own CRC, and a CRC-32 over a message
+  // followed by its own CRC is a constant, so the index CRC of a valid
+  // body depends only on the field, the ordinal and the body length. Within
+  // one archive file, (field, epoch) names the bytes, so equal tags imply
+  // byte-identical responses, and computing the tag needs no tile decode
+  // at all — a 304 costs only the index walk.
   // Stage spans land in Server-Timing (depth-1 children of the HTTP
   // layer's "request" root): etag -> tiles -> encode.
   std::optional<obs::SpanScope> stage;
@@ -387,14 +389,15 @@ HttpResponse ArchiveService::handle_region(const ArchiveReader& reader,
       for (unsigned byte = 0; byte < 8; ++byte)
         geom[gpos++] = static_cast<std::uint8_t>(v >> (8 * byte));
   etag_crc.update(std::span<const std::uint8_t>(geom, gpos));
-  auto fold_crc = [&etag_crc](std::uint32_t crc) {
-    const std::uint8_t c4[4] = {static_cast<std::uint8_t>(crc),
-                                static_cast<std::uint8_t>(crc >> 8),
-                                static_cast<std::uint8_t>(crc >> 16),
-                                static_cast<std::uint8_t>(crc >> 24)};
-    etag_crc.update(c4);
+  auto fold_u32 = [&etag_crc](std::uint32_t v) {
+    const std::uint8_t v4[4] = {static_cast<std::uint8_t>(v),
+                                static_cast<std::uint8_t>(v >> 8),
+                                static_cast<std::uint8_t>(v >> 16),
+                                static_cast<std::uint8_t>(v >> 24)};
+    etag_crc.update(v4);
   };
-  for (const std::size_t t : tiles) fold_crc(info->tiles[t].crc);
+  fold_u32(info->epoch);
+  for (const std::size_t t : tiles) fold_u32(info->tiles[t].crc);
   if (!info->anchors.empty()) {
     // Anchor closure, breadth-first; the reader validated the anchor graph
     // as a DAG at open, so this terminates.
@@ -406,7 +409,8 @@ HttpResponse ArchiveService::handle_region(const ArchiveReader& reader,
       for (const std::string& a : f->anchors) {
         if (!seen.insert(a).second) continue;
         const ArchiveFieldInfo* ai = reader.find(a);
-        for (const ArchiveTileInfo& t : ai->tiles) fold_crc(t.crc);
+        fold_u32(ai->epoch);
+        for (const ArchiveTileInfo& t : ai->tiles) fold_u32(t.crc);
         queue.push_back(ai);
       }
     }
@@ -459,7 +463,7 @@ HttpResponse ArchiveService::handle_region(const ArchiveReader& reader,
     }
     try {
       const std::shared_ptr<const Field> tile =
-          cache_.get(archive_id_, field_index, t);
+          cache_.get(reader, field_index, t);
       copy_tile_into_region(out, std::span<const std::size_t>(lo, ndim),
                             std::span<const std::size_t>(hi, ndim),
                             tile->array(), grid.box(t));
@@ -695,26 +699,17 @@ HttpResponse ArchiveService::handle_ingest(const std::string& field_name,
     return fail(500, std::string(e.what()) + "\n");
   }
 
-  // The epoch is durable on disk; swap the serving state over to it. A
-  // reopen failure past this point is an environment fault, not data loss
-  // — the archive itself is sealed and valid.
+  // The epoch is durable on disk; swap the serving snapshot over to it.
+  // The cache needs no word of it: the replaced field's new epoch keys new
+  // cache entries, and the old version's age out of the LRU. A reopen
+  // failure past this point is an environment fault, not data loss — the
+  // archive itself is sealed and valid.
   try {
     std::shared_ptr<const ArchiveReader> fresh =
         std::make_shared<const ArchiveReader>(
             ArchiveReader::open_file(config_.archive_path));
-    cache_.update_archive(archive_id_, fresh);
-    if (existed) {
-      // Field indices are append-stable, so only the replaced field's
-      // cached tiles (positive and negative) go; everything else stays
-      // warm. New fields have no cached tiles to drop.
-      const ArchiveFieldInfo* nf = fresh->find(field_name);
-      cache_.invalidate(archive_id_, static_cast<std::size_t>(
-                                         nf - fresh->fields().data()));
-    }
-    {
-      const std::lock_guard<std::mutex> lock(reader_mutex_);
-      reader_ = std::move(fresh);
-    }
+    const std::lock_guard<std::mutex> lock(reader_mutex_);
+    reader_ = std::move(fresh);
   } catch (const XfcError& e) {
     return fail(500, std::string("epoch sealed but reopen failed: ") +
                          e.what() + "\n");
@@ -856,7 +851,7 @@ HttpResponse ArchiveService::handle_debug_cache(
   w.begin_array("fields");
   const auto& fields = reader.fields();
   for (std::size_t f = 0; f < fields.size(); ++f) {
-    const std::vector<TileHeat> heat = cache_.field_heat(archive_id_, f);
+    const std::vector<TileHeat> heat = cache_.field_heat(reader, f);
     obs::JsonWriter e;
     e.begin_object();
     e.field("name", fields[f].name);

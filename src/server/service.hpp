@@ -17,8 +17,9 @@
 ///       carries the extents); fmt=json answers {"shape":[..],
 ///       "values":[..]}. Bytes are bit-identical to
 ///       ArchiveReader::read_region on the same archive. Responses carry a
-///       strong ETag derived from the covered tiles' index CRCs;
-///       If-None-Match answers 304 without decoding a single tile.
+///       strong ETag derived from the index (the covered fields' append
+///       epochs and tile CRCs); If-None-Match answers 304 without decoding
+///       a single tile.
 ///       Damaged tiles answer 502 naming the bad tiles — unless the client
 ///       opts in with allow_partial=1, which answers 200 with the failed
 ///       tiles filled (fill=zero|nan) and a tile-error manifest
@@ -49,21 +50,25 @@
 ///       is set). Body: raw little-endian float32 values, row-major,
 ///       exactly prod(shape) of them. Appends one crash-consistent epoch
 ///       to the archive file (bodies -> fsync -> footer+trailer -> fsync;
-///       the trailer is the commit point), reopens it, swaps the serving
-///       snapshot and invalidates exactly the replaced field's cached
-///       tiles (positive and negative). A new field answers 201, a
-///       replacement 200; 403 when ingest is disabled, 503 + Retry-After
-///       while draining or not ready, 409 for a field other fields anchor
-///       on.
+///       the trailer is the commit point), reopens it and swaps the
+///       serving snapshot — nothing else. The tile cache keys tiles by the
+///       field's append epoch, so the replacement's tiles are new keys and
+///       no cached tile is invalidated: the superseded version ages out of
+///       the LRU, and in-flight reads finish against the snapshot they
+///       started with. A new field answers 201, a replacement 200; 403 when
+///       ingest is disabled, 503 + Retry-After while draining or not ready,
+///       409 for a field other fields anchor on.
 ///
 /// Region requests additionally accept trace=1: the region is assembled
 /// as usual but the response is a JSON debug view of the request's span
 /// tree (stage timings, cache hit/miss counts) instead of the data bytes.
 ///
 /// handle() is thread-safe (the HTTP layer fans request batches over the
-/// worker pool): the reader is immutable, the cache locks internally, and
-/// service counters live on a per-instance obs::Registry whose mutations
-/// are striped relaxed atomics.
+/// worker pool): each request copies the serving snapshot once and works
+/// off that immutable reader alone (the tile cache is keyed by the tile
+/// versions it names), the cache locks internally, and service counters
+/// live on a per-instance obs::Registry whose mutations are striped
+/// relaxed atomics.
 
 #include <atomic>
 #include <cstdint>
@@ -154,7 +159,6 @@ class ArchiveService {
   std::mutex ingest_mutex_;
   ServiceConfig config_;
   TileCache cache_;
-  std::uint64_t archive_id_ = 0;
 
   std::atomic<bool> ready_{true};
 

@@ -4,6 +4,7 @@
 #include <chrono>
 #include <condition_variable>
 #include <list>
+#include <mutex>
 #include <unordered_map>
 
 #include "core/error.hpp"
@@ -51,17 +52,22 @@ struct TileCache::Shard {
     std::chrono::steady_clock::time_point touched{};
   };
 
+  struct TileHash {
+    std::size_t operator()(const TileId& t) const {
+      return static_cast<std::size_t>(
+          mix64((static_cast<std::uint64_t>(t.field) << 40) ^ t.ordinal));
+    }
+  };
   struct KeyHash {
     std::size_t operator()(const Key& k) const {
-      return static_cast<std::size_t>(
-          mix64(k.archive * 0x9e3779b97f4a7c15ULL ^
-                (static_cast<std::uint64_t>(k.field) << 40) ^ k.ordinal));
+      return TileHash{}(k.tile) ^
+             static_cast<std::size_t>(mix64(k.epoch + 0x9e3779b97f4a7c15ULL));
     }
   };
 
   /// A cached decode failure: the typed error served until `expiry`. The
   /// TTL it was inserted with is kept so the next failure after expiry can
-  /// double it (exponential backoff per poisoned tile).
+  /// double it (exponential backoff per poisoned tile version).
   struct NegEntry {
     std::exception_ptr error;
     std::chrono::steady_clock::time_point expiry;
@@ -74,22 +80,9 @@ struct TileCache::Shard {
   std::list<Key> lru;  // front = most recently used; in-flight keys absent
   std::unordered_map<Key, NegEntry, KeyHash> neg;
   std::list<Key> neg_order;  // front = newest failure
+  std::unordered_map<TileId, TileHeat, TileHash> heat;
   std::size_t bytes = 0;
   std::size_t budget = 0;
-};
-
-/// Per-archive heat storage: one TileStat per (field, tile ordinal),
-/// allocated in full at add_archive() so the hot path never allocates and
-/// never takes archives_mutex_ to record a touch.
-struct TileCache::ArchiveHeat {
-  struct TileStat {
-    std::atomic<std::uint32_t> hits{0};
-    std::atomic<std::uint32_t> misses{0};
-    std::atomic<std::uint32_t> hot{0};
-    std::atomic<std::uint32_t> last_epoch{0};
-  };
-  std::vector<std::unique_ptr<TileStat[]>> fields;  // [field][ordinal]
-  std::vector<std::size_t> tiles;                   // per-field tile count
 };
 
 TileCache::TileCache(TileCacheConfig config)
@@ -106,80 +99,26 @@ TileCache::TileCache(TileCacheConfig config)
 
 TileCache::~TileCache() = default;
 
-TileCache::Shard& TileCache::shard_for(const Key& key) const {
-  return shards_[Shard::KeyHash{}(key) % n_shards_];
+TileCache::Shard& TileCache::shard_for(const TileId& tile) const {
+  return shards_[Shard::TileHash{}(tile) % n_shards_];
 }
 
-std::shared_ptr<TileCache::ArchiveHeat> TileCache::make_heat(
-    const ArchiveReader& reader) {
-  auto heat = std::make_shared<ArchiveHeat>();
-  for (const ArchiveFieldInfo& info : reader.fields()) {
-    const std::size_t n = info.tiles.size();
-    heat->fields.push_back(n != 0
-                               ? std::make_unique<ArchiveHeat::TileStat[]>(n)
-                               : nullptr);
-    heat->tiles.push_back(n);
-  }
-  return heat;
-}
-
-std::uint64_t TileCache::add_archive(
-    std::shared_ptr<const ArchiveReader> reader) {
-  expects(reader != nullptr, "TileCache: null reader");
-  auto heat = make_heat(*reader);
-  const std::lock_guard<std::mutex> lock(archives_mutex_);
-  archives_.push_back(std::move(reader));
-  heats_.push_back(std::move(heat));
-  return archives_.size() - 1;
-}
-
-void TileCache::update_archive(std::uint64_t archive_id,
-                               std::shared_ptr<const ArchiveReader> reader) {
-  expects(reader != nullptr, "TileCache: null reader");
-  // Fresh heat: tile grids may have grown (new fields, replaced geometry),
-  // and heat is demand history anyway — the epoch decay would age it out.
-  auto heat = make_heat(*reader);
-  const std::lock_guard<std::mutex> lock(archives_mutex_);
-  if (archive_id >= archives_.size())
-    throw InvalidArgument("TileCache: unknown archive id");
-  archives_[archive_id] = std::move(reader);
-  heats_[archive_id] = std::move(heat);
-}
-
-std::shared_ptr<const ArchiveReader> TileCache::archive_and_heat(
-    std::uint64_t archive_id, std::shared_ptr<ArchiveHeat>* heat) const {
-  const std::lock_guard<std::mutex> lock(archives_mutex_);
-  if (archive_id >= archives_.size()) return nullptr;
-  *heat = heats_[archive_id];
-  return archives_[archive_id];
-}
-
-void TileCache::touch_heat(ArchiveHeat* heat, const Key& key, bool hit) {
+void TileCache::touch_heat(Shard& sh, const TileId& tile, bool hit) {
   // One access: tick the odometer that drives the decay epoch.
   const std::uint64_t n =
       epoch_accesses_.fetch_add(1, std::memory_order_relaxed) + 1;
   if (n % kEpochAccesses == 0)
     epoch_.fetch_add(1, std::memory_order_relaxed);
-  if (heat == nullptr || key.field >= heat->fields.size() ||
-      key.ordinal >= heat->tiles[key.field])
-    return;
-  ArchiveHeat::TileStat& ts = heat->fields[key.field][key.ordinal];
-  if (hit)
-    ts.hits.fetch_add(1, std::memory_order_relaxed);
-  else
-    ts.misses.fetch_add(1, std::memory_order_relaxed);
-  // Decay-then-bump. Load/store rather than CAS: a lost update under a
-  // concurrent touch costs one count on an approximate popularity score,
-  // which is cheaper than putting a CAS loop on the cache hot path.
+  TileHeat& h = sh.heat[tile];
+  ++(hit ? h.hits : h.misses);
+  // Decay-then-bump.
   const std::uint32_t epoch = epoch_.load(std::memory_order_relaxed);
-  const std::uint32_t last = ts.last_epoch.load(std::memory_order_relaxed);
-  std::uint32_t hot = ts.hot.load(std::memory_order_relaxed);
-  if (last != epoch) {
-    const std::uint32_t age = epoch - last;
-    hot = age >= 32 ? 0 : hot >> age;
-    ts.last_epoch.store(epoch, std::memory_order_relaxed);
+  if (h.last_epoch != epoch) {
+    const std::uint32_t age = epoch - h.last_epoch;
+    h.hot = age >= 32 ? 0 : h.hot >> age;
+    h.last_epoch = epoch;
   }
-  ts.hot.store(hot + 1, std::memory_order_relaxed);
+  ++h.hot;
 }
 
 std::uint32_t TileCache::access_epoch() const {
@@ -190,23 +129,17 @@ void TileCache::advance_access_epoch() {
   epoch_.fetch_add(1, std::memory_order_relaxed);
 }
 
-std::vector<TileHeat> TileCache::field_heat(std::uint64_t archive_id,
+std::vector<TileHeat> TileCache::field_heat(const ArchiveReader& snapshot,
                                             std::size_t field_index) const {
-  std::shared_ptr<ArchiveHeat> heat;
-  {
-    const std::lock_guard<std::mutex> lock(archives_mutex_);
-    if (archive_id >= heats_.size()) return {};
-    heat = heats_[archive_id];
-  }
-  if (field_index >= heat->fields.size()) return {};
-  const std::size_t n = heat->tiles[field_index];
-  std::vector<TileHeat> out(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    const ArchiveHeat::TileStat& ts = heat->fields[field_index][i];
-    out[i].hits = ts.hits.load(std::memory_order_relaxed);
-    out[i].misses = ts.misses.load(std::memory_order_relaxed);
-    out[i].hot = ts.hot.load(std::memory_order_relaxed);
-    out[i].last_epoch = ts.last_epoch.load(std::memory_order_relaxed);
+  const auto& fields = snapshot.fields();
+  if (field_index >= fields.size()) return {};
+  std::vector<TileHeat> out(fields[field_index].tiles.size());
+  for (std::size_t t = 0; t < out.size(); ++t) {
+    const TileId tile{static_cast<std::uint32_t>(field_index), t};
+    Shard& sh = shard_for(tile);
+    const std::lock_guard<std::mutex> lock(sh.m);
+    const auto it = sh.heat.find(tile);
+    if (it != sh.heat.end()) out[t] = it->second;
   }
   return out;
 }
@@ -231,49 +164,33 @@ TileShardStats TileCache::shard_stats(std::size_t shard_index) const {
   return s;
 }
 
-std::shared_ptr<const ArchiveReader> TileCache::archive(
-    std::uint64_t archive_id) const {
-  const std::lock_guard<std::mutex> lock(archives_mutex_);
-  if (archive_id >= archives_.size()) return nullptr;
-  return archives_[archive_id];
-}
-
-std::shared_ptr<const Field> TileCache::get(std::uint64_t archive_id,
+std::shared_ptr<const Field> TileCache::get(const ArchiveReader& snapshot,
                                             const std::string& field,
                                             std::size_t ordinal) {
-  const auto reader = archive(archive_id);
-  if (reader == nullptr)
-    throw InvalidArgument("TileCache: unknown archive id");
-  const auto& fields = reader->fields();
-  for (std::size_t i = 0; i < fields.size(); ++i)
-    if (fields[i].name == field) return get(archive_id, i, ordinal);
-  throw InvalidArgument("TileCache: no such field: " + field);
+  const ArchiveFieldInfo* info = snapshot.find(field);
+  if (info == nullptr)
+    throw InvalidArgument("TileCache: no such field: " + field);
+  return get(snapshot,
+             static_cast<std::size_t>(info - snapshot.fields().data()),
+             ordinal);
 }
 
-std::shared_ptr<const Field> TileCache::get(std::uint64_t archive_id,
+std::shared_ptr<const Field> TileCache::get(const ArchiveReader& snapshot,
                                             std::size_t field_index,
                                             std::size_t ordinal) {
-  // The shared_ptr keeps the heat alive across a concurrent
-  // update_archive; get_by_key and the anchor fetches it spawns borrow the
-  // raw pointer under this frame.
-  std::shared_ptr<ArchiveHeat> heat;
-  const auto reader = archive_and_heat(archive_id, &heat);
-  if (reader == nullptr)
-    throw InvalidArgument("TileCache: unknown archive id");
-  const auto& fields = reader->fields();
+  const auto& fields = snapshot.fields();
   if (field_index >= fields.size())
     throw InvalidArgument("TileCache: field index out of range");
   if (ordinal >= fields[field_index].tiles.size())
     throw InvalidArgument("TileCache: tile ordinal out of range");
   return get_by_key(
-      reader, heat.get(),
-      Key{archive_id, static_cast<std::uint32_t>(field_index), ordinal});
+      snapshot, Key{TileId{static_cast<std::uint32_t>(field_index), ordinal},
+                    fields[field_index].epoch});
 }
 
 std::shared_ptr<const Field> TileCache::get_by_key(
-    const std::shared_ptr<const ArchiveReader>& reader, ArchiveHeat* heat,
-    const Key& key) {
-  Shard& sh = shard_for(key);
+    const ArchiveReader& snapshot, const Key& key) {
+  Shard& sh = shard_for(key.tile);
   std::unique_lock<std::mutex> lock(sh.m);
   const auto it = sh.map.find(key);
   if (it != sh.map.end()) {
@@ -281,8 +198,7 @@ std::shared_ptr<const Field> TileCache::get_by_key(
     if (e.value != nullptr) {
       sh.lru.splice(sh.lru.begin(), sh.lru, e.lru_it);
       e.touched = std::chrono::steady_clock::now();
-      hits_.fetch_add(1, std::memory_order_relaxed);
-      touch_heat(heat, key, /*hit=*/true);
+      touch_heat(sh, key.tile, /*hit=*/true);
       if (obs::Trace* tr = obs::Trace::current()) ++tr->cache_hits;
       return e.value;
     }
@@ -319,47 +235,42 @@ std::shared_ptr<const Field> TileCache::get_by_key(
     sh.neg.erase(nit);
   }
 
-  // Cold tile: this thread becomes the decode leader for the key.
+  // Cold tile: this thread becomes the decode leader for the key. Nothing
+  // else erases a pending entry (eviction walks only the LRU), so the entry
+  // is still this leader's when it relocks below.
   const auto inflight = std::make_shared<Shard::InFlight>();
   sh.map.emplace(key, Shard::Entry{nullptr, inflight, {}, 0, {}});
-  misses_.fetch_add(1, std::memory_order_relaxed);
-  touch_heat(heat, key, /*hit=*/false);
+  touch_heat(sh, key.tile, /*hit=*/false);
   if (obs::Trace* tr = obs::Trace::current()) ++tr->cache_misses;
   lock.unlock();
 
   std::shared_ptr<const Field> value;
   try {
-    const ArchiveFieldInfo& info = reader->fields()[key.field];
-    // Anchor tiles resolve back through the cache, so a cross-field decode
-    // both reuses and populates the anchor's entries.
-    const TileFetch fetch = [this, &key, &reader, heat](
-                                const ArchiveFieldInfo& anchor,
-                                std::size_t ord) {
-      const auto& fields = reader->fields();
+    const auto& fields = snapshot.fields();
+    // Anchor tiles resolve back through the cache against the same
+    // snapshot, so a cross-field decode both reuses and populates the
+    // anchor's entries.
+    const TileFetch fetch = [this, &snapshot](const ArchiveFieldInfo& anchor,
+                                              std::size_t ord) {
+      const auto& fields = snapshot.fields();
       const std::size_t idx = static_cast<std::size_t>(&anchor - fields.data());
       if (idx >= fields.size())
-        throw InvalidArgument("TileCache: anchor info not from this archive");
+        throw InvalidArgument("TileCache: anchor info not from this snapshot");
       return get_by_key(
-          reader, heat,
-          Key{key.archive, static_cast<std::uint32_t>(idx), ord});
+          snapshot,
+          Key{TileId{static_cast<std::uint32_t>(idx), ord}, anchor.epoch});
     };
-    value = std::make_shared<const Field>(
-        reader->read_tile(info, key.ordinal, fetch));
+    value = std::make_shared<const Field>(snapshot.read_tile(
+        fields[key.tile.field], key.tile.ordinal, fetch));
   } catch (...) {
     decode_errors_.fetch_add(1, std::memory_order_relaxed);
     {
       // Drop the pending entry and negatively cache the failure: followers
       // already waiting get the error through the in-flight rendezvous;
-      // later requests hit the cached entry until its TTL lapses. Only if
-      // the pending entry is still *ours* (same in-flight object) — an
-      // invalidate may have erased it mid-decode, in which case the failure
-      // belongs to a superseded tile and must not be cached.
+      // later requests hit the cached entry until its TTL lapses.
       const std::lock_guard<std::mutex> relock(sh.m);
-      const auto pit = sh.map.find(key);
-      const bool ours =
-          pit != sh.map.end() && pit->second.inflight == inflight;
-      if (ours) sh.map.erase(pit);
-      if (ours && negative_ttl_ms_ != 0) {
+      sh.map.erase(key);
+      if (negative_ttl_ms_ != 0) {
         const std::uint32_t ttl_ms =
             prev_neg_ttl_ms == 0
                 ? negative_ttl_ms_
@@ -392,33 +303,25 @@ std::shared_ptr<const Field> TileCache::get_by_key(
       value->size() * sizeof(float) + kEntryOverhead;
   {
     const std::lock_guard<std::mutex> relock(sh.m);
-    // Publish only if the pending entry is still ours: an invalidate that
-    // raced this decode erased it (the tile's source changed), and blindly
-    // re-inserting here would resurrect a stale tile. Waiters still get
-    // this value through the rendezvous below — their request predates the
-    // invalidation, so pre-invalidate data is a consistent answer for it.
-    const auto pit = sh.map.find(key);
-    if (pit != sh.map.end() && pit->second.inflight == inflight) {
-      Shard::Entry& e = pit->second;
-      e.value = value;
-      e.inflight.reset();
-      e.bytes = entry_bytes;
-      e.touched = std::chrono::steady_clock::now();
-      sh.lru.push_front(key);
-      e.lru_it = sh.lru.begin();
-      sh.bytes += entry_bytes;
-      // Evict cold tail entries down to budget. The entry just inserted is
-      // never the victim (it is at the front and the loop keeps >= 1
-      // entry), so even a tile bigger than the whole budget serves from
-      // cache while it is the hot one.
-      while (sh.bytes > sh.budget && sh.lru.size() > 1) {
-        const Key victim = sh.lru.back();
-        const auto vit = sh.map.find(victim);
-        sh.bytes -= vit->second.bytes;
-        sh.map.erase(vit);
-        sh.lru.pop_back();
-        evictions_.fetch_add(1, std::memory_order_relaxed);
-      }
+    Shard::Entry& e = sh.map.find(key)->second;
+    e.value = value;
+    e.inflight.reset();
+    e.bytes = entry_bytes;
+    e.touched = std::chrono::steady_clock::now();
+    sh.lru.push_front(key);
+    e.lru_it = sh.lru.begin();
+    sh.bytes += entry_bytes;
+    // Evict cold tail entries down to budget. The entry just inserted is
+    // never the victim (it is at the front and the loop keeps >= 1 entry),
+    // so even a tile bigger than the whole budget serves from cache while
+    // it is the hot one.
+    while (sh.bytes > sh.budget && sh.lru.size() > 1) {
+      const Key victim = sh.lru.back();
+      const auto vit = sh.map.find(victim);
+      sh.bytes -= vit->second.bytes;
+      sh.map.erase(vit);
+      sh.lru.pop_back();
+      evictions_.fetch_add(1, std::memory_order_relaxed);
     }
   }
   {
@@ -430,62 +333,8 @@ std::shared_ptr<const Field> TileCache::get_by_key(
   return value;
 }
 
-std::size_t TileCache::erase_key_locked(Shard& sh, const Key& key) {
-  std::size_t removed = 0;
-  const auto it = sh.map.find(key);
-  if (it != sh.map.end()) {
-    if (it->second.value != nullptr) {
-      sh.bytes -= it->second.bytes;
-      sh.lru.erase(it->second.lru_it);
-    }
-    // A pending entry (value null, decode in flight) is erased too; the
-    // leader's identity check keeps it from re-publishing the stale tile.
-    sh.map.erase(it);
-    ++removed;
-  }
-  const auto nit = sh.neg.find(key);
-  if (nit != sh.neg.end()) {
-    sh.neg_order.erase(nit->second.order_it);
-    sh.neg.erase(nit);
-    ++removed;
-  }
-  return removed;
-}
-
-std::size_t TileCache::invalidate(std::uint64_t archive_id,
-                                  std::size_t field_index) {
-  // Keys are hash-scattered across shards, so a field-wide invalidate must
-  // walk every shard's maps. Ingest-frequency operation, not hot path.
-  std::size_t removed = 0;
-  for (std::size_t i = 0; i < n_shards_; ++i) {
-    Shard& sh = shards_[i];
-    const std::lock_guard<std::mutex> lock(sh.m);
-    std::vector<Key> doomed;
-    for (const auto& [key, entry] : sh.map)
-      if (key.archive == archive_id && key.field == field_index)
-        doomed.push_back(key);
-    for (const auto& [key, entry] : sh.neg)
-      if (key.archive == archive_id && key.field == field_index &&
-          sh.map.find(key) == sh.map.end())
-        doomed.push_back(key);
-    for (const Key& key : doomed) removed += erase_key_locked(sh, key);
-  }
-  return removed;
-}
-
-std::size_t TileCache::invalidate_tile(std::uint64_t archive_id,
-                                       std::size_t field_index,
-                                       std::size_t ordinal) {
-  const Key key{archive_id, static_cast<std::uint32_t>(field_index), ordinal};
-  Shard& sh = shard_for(key);
-  const std::lock_guard<std::mutex> lock(sh.m);
-  return erase_key_locked(sh, key);
-}
-
 TileCacheStats TileCache::stats() const {
   TileCacheStats s;
-  s.hits = hits_.load(std::memory_order_relaxed);
-  s.misses = misses_.load(std::memory_order_relaxed);
   s.evictions = evictions_.load(std::memory_order_relaxed);
   s.inflight_waits = inflight_waits_.load(std::memory_order_relaxed);
   s.decode_errors = decode_errors_.load(std::memory_order_relaxed);
@@ -496,6 +345,10 @@ TileCacheStats TileCache::stats() const {
     s.entries += sh.lru.size();
     s.bytes += sh.bytes;
     s.negative_entries += sh.neg.size();
+    for (const auto& [tile, h] : sh.heat) {
+      s.hits += h.hits;
+      s.misses += h.misses;
+    }
   }
   return s;
 }

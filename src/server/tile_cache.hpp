@@ -9,23 +9,37 @@
 /// microseconds, so the cache is what turns the archive's random access
 /// into sub-millisecond repeat reads.
 ///
-/// Keys are (archive, field, tile ordinal). Entries are immutable decoded
-/// tiles handed out as shared_ptr<const Field>, so eviction never
-/// invalidates a response that is still being assembled.
+/// The cache holds no reader of its own. Every get() names the snapshot
+/// (ArchiveReader) its request holds for the request's whole life, and the
+/// key is the tile *version* that snapshot names: (field index, the field's
+/// append epoch, tile ordinal). One cache serves the snapshots of one
+/// archive file: field indices are append-stable and every replacement
+/// seals a new epoch, so one key always means the same bytes, whichever
+/// snapshot decoded it. Live ingest therefore needs no invalidation — a
+/// superseded version is never requested again and ages out of the LRU
+/// within the same byte budget — and a request never mixes versions.
+/// Entries are immutable decoded tiles handed out as
+/// shared_ptr<const Field>, so eviction never invalidates a response that
+/// is still being assembled.
 ///
 /// Single-flight: when N threads miss on the same cold tile, exactly one
 /// decodes it; the rest block on the in-flight entry and share the result.
 /// Cross-field tiles resolve their anchor tiles back through the cache
-/// (get() hands the reader a TileFetch bound to itself), so anchors are
-/// decoded once and shared too. Every ArchiveReader validates its anchor
-/// graph at open (a dangling or cyclic anchor is a corrupt index), which
-/// is what guarantees the recursive gets — and the cross-thread
-/// single-flight waits that follow anchor edges — always terminate.
+/// against the same snapshot (get() hands the reader a TileFetch bound to
+/// itself), so anchors are decoded once and shared too. Every ArchiveReader
+/// validates its anchor graph at open (a dangling or cyclic anchor is a
+/// corrupt index), and a version's anchors are fixed by its index entry, so
+/// the recursive gets — and the cross-thread single-flight waits that
+/// follow anchor edges — always terminate.
+///
+/// Heat: each tile's access counters are keyed by (field index, ordinal),
+/// across versions, and live in the tile's shard under the lock every
+/// access already holds (all versions of a tile share a shard). stats()
+/// hits/misses are their sums.
 
 #include <atomic>
 #include <cstdint>
 #include <memory>
-#include <mutex>
 #include <string>
 #include <vector>
 
@@ -39,7 +53,7 @@ struct TileCacheConfig {
   /// exceed its slice while a response to an oversized tile is in flight.
   std::size_t capacity_bytes = 256u << 20;
   /// Lock shard count, used as-is (0 is clamped to 1; any count works —
-  /// keys map by hash modulo). More shards = less contention between
+  /// tiles map by hash modulo). More shards = less contention between
   /// unrelated tiles; 8 is plenty below ~32 threads.
   std::size_t shards = 8;
   /// Negative caching: when a tile's decode fails, the error is cached for
@@ -55,16 +69,16 @@ struct TileCacheConfig {
   std::size_t negative_entries_max = 1024;
 };
 
-/// One tile's access heat (see TileCache::field_heat). `hits`/`misses`
-/// mirror the cache's global counters exactly — an access bumps the tile's
-/// counter at the same sites the global one is bumped (in-flight waits and
-/// negative hits are neither). `hot` is an epoch-decayed popularity score:
-/// halved once per access epoch the tile sat untouched, +1 per touch — so
-/// it ranks tiles by *recent* demand, which is what readahead and 2Q
-/// admission decisions need, while hits/misses keep the all-time totals.
+/// One tile's access heat (see TileCache::field_heat), across every
+/// version of the tile. `hits`/`misses` count the accesses that found the
+/// tile resident or started its decode (in-flight waits and negative hits
+/// are neither). `hot` is an epoch-decayed popularity score: halved once
+/// per access epoch the tile sat untouched, +1 per touch — so it ranks
+/// tiles by *recent* demand, which is what readahead and 2Q admission
+/// decisions need, while hits/misses keep the all-time totals.
 struct TileHeat {
-  std::uint32_t hits = 0;
-  std::uint32_t misses = 0;
+  std::uint64_t hits = 0;
+  std::uint64_t misses = 0;
   std::uint32_t hot = 0;
   std::uint32_t last_epoch = 0;  ///< access epoch of the last touch
 };
@@ -82,8 +96,8 @@ struct TileShardStats {
 };
 
 struct TileCacheStats {
-  std::uint64_t hits = 0;
-  std::uint64_t misses = 0;          // == decodes started
+  std::uint64_t hits = 0;            // sum of the tiles' heat hits
+  std::uint64_t misses = 0;          // == decodes started; sum of heat misses
   std::uint64_t evictions = 0;
   std::uint64_t inflight_waits = 0;  // blocked on another thread's decode
   std::uint64_t decode_errors = 0;
@@ -101,59 +115,31 @@ class TileCache {
   TileCache(const TileCache&) = delete;
   TileCache& operator=(const TileCache&) = delete;
 
-  /// Registers an archive and returns the id used in keys. The reader is
-  /// shared so it outlives any in-flight decode.
-  std::uint64_t add_archive(std::shared_ptr<const ArchiveReader> reader);
-
-  /// Swaps the reader registered under `archive_id` for a fresh one — the
-  /// live-ingest path, after an append sealed a new epoch and the file was
-  /// reopened. Field *indices* are stable across appends (the appender
-  /// substitutes replacements in place and adds new fields at the end), so
-  /// cached tiles of unchanged fields stay valid and warm; the caller
-  /// invalidates the fields the epoch actually replaced. Requests already
-  /// holding the old reader finish against it (it is shared). Throws
-  /// InvalidArgument for an unknown id.
-  void update_archive(std::uint64_t archive_id,
-                      std::shared_ptr<const ArchiveReader> reader);
-
-  /// Drops every cached tile of one field — positive entries, cached
-  /// failures (negative entries), and pending decodes alike (a leader whose
-  /// pending entry was invalidated still answers its waiters but does not
-  /// populate the cache). Returns the number of entries removed. Unknown
-  /// keys are a no-op.
-  std::size_t invalidate(std::uint64_t archive_id, std::size_t field_index);
-
-  /// Per-tile variant of invalidate(); same positive+negative semantics.
-  std::size_t invalidate_tile(std::uint64_t archive_id,
-                              std::size_t field_index, std::size_t ordinal);
-
-  /// Returns the decoded tile, decoding at most once per key no matter how
-  /// many threads ask concurrently. Throws InvalidArgument for an unknown
-  /// archive/field/ordinal. Decode failures propagate to every waiter and
-  /// are negatively cached (config.negative_ttl_ms) so a poisoned tile
-  /// costs one decode attempt per backoff window, not one per request.
-  std::shared_ptr<const Field> get(std::uint64_t archive_id,
-                                   const std::string& field,
-                                   std::size_t ordinal);
-
-  /// Hot-path overload: `field_index` is the position in the reader's
-  /// fields() (resolve once per request, not once per tile — the name
-  /// overload pays an O(fields) string scan on every call).
-  std::shared_ptr<const Field> get(std::uint64_t archive_id,
+  /// Returns tile `ordinal` of field `field_index` (its position in
+  /// `snapshot.fields()`) as `snapshot` names it, decoding at most once per
+  /// tile version no matter how many threads ask concurrently. `snapshot`
+  /// must be a reader of the archive file this cache serves, and must
+  /// outlive the call. Throws InvalidArgument for an out-of-range field or
+  /// ordinal. Decode failures propagate to every waiter and are negatively
+  /// cached (config.negative_ttl_ms) so a poisoned tile costs one decode
+  /// attempt per backoff window, not one per request.
+  std::shared_ptr<const Field> get(const ArchiveReader& snapshot,
                                    std::size_t field_index,
                                    std::size_t ordinal);
 
-  /// Reader registered under `archive_id` (nullptr if unknown).
-  std::shared_ptr<const ArchiveReader> archive(std::uint64_t archive_id) const;
+  /// Name-keyed convenience overload (an O(fields) lookup per call; the
+  /// serving path resolves the index once per request instead).
+  std::shared_ptr<const Field> get(const ArchiveReader& snapshot,
+                                   const std::string& field,
+                                   std::size_t ordinal);
 
   TileCacheStats stats() const;
   std::size_t capacity_bytes() const { return capacity_bytes_; }
 
-  /// Per-tile access heat of one field, indexed by tile ordinal. Empty for
-  /// unknown archive/field. Counters are relaxed atomics bumped on the
-  /// cache hot path (no extra locking); concurrent snapshots are
-  /// approximate only in that they may miss in-flight increments.
-  std::vector<TileHeat> field_heat(std::uint64_t archive_id,
+  /// Access heat of field `field_index` of `snapshot`, indexed by tile
+  /// ordinal over that snapshot's tile grid. Empty for an out-of-range
+  /// field. Heat outlives versions: a replaced field keeps its tiles' heat.
+  std::vector<TileHeat> field_heat(const ArchiveReader& snapshot,
                                    std::size_t field_index) const;
 
   /// Current decay epoch. Advances automatically every ~65k cache accesses
@@ -167,25 +153,25 @@ class TileCache {
 
  private:
   struct Shard;
-  struct ArchiveHeat;
-  struct Key {
-    std::uint64_t archive = 0;
-    std::uint32_t field = 0;  // index into the reader's fields()
+  /// One tile of one field across its versions: what heat and shard
+  /// placement key on.
+  struct TileId {
+    std::uint32_t field = 0;  // index into the snapshot's fields()
     std::uint64_t ordinal = 0;
+    bool operator==(const TileId&) const = default;
+  };
+  /// One version of a tile: the field's append epoch names its bytes.
+  struct Key {
+    TileId tile;
+    std::uint32_t epoch = 0;
     bool operator==(const Key&) const = default;
   };
 
-  std::shared_ptr<const Field> get_by_key(
-      const std::shared_ptr<const ArchiveReader>& reader, ArchiveHeat* heat,
-      const Key& key);
-  Shard& shard_for(const Key& key) const;
-  std::shared_ptr<const ArchiveReader> archive_and_heat(
-      std::uint64_t archive_id, std::shared_ptr<ArchiveHeat>* heat) const;
-  void touch_heat(ArchiveHeat* heat, const Key& key, bool hit);
-  static std::shared_ptr<ArchiveHeat> make_heat(const ArchiveReader& reader);
-  /// Erases one key's positive, pending and negative entries from `sh`
-  /// (caller holds sh.m); returns how many it removed.
-  std::size_t erase_key_locked(Shard& sh, const Key& key);
+  std::shared_ptr<const Field> get_by_key(const ArchiveReader& snapshot,
+                                          const Key& key);
+  Shard& shard_for(const TileId& tile) const;
+  /// Records one access in the tile's heat; caller holds the shard lock.
+  void touch_heat(Shard& sh, const TileId& tile, bool hit);
 
   std::size_t capacity_bytes_;
   std::size_t n_shards_;
@@ -194,8 +180,6 @@ class TileCache {
   std::size_t negative_entries_max_;
   std::unique_ptr<Shard[]> shards_;
 
-  mutable std::atomic<std::uint64_t> hits_{0};
-  mutable std::atomic<std::uint64_t> misses_{0};
   mutable std::atomic<std::uint64_t> evictions_{0};
   mutable std::atomic<std::uint64_t> inflight_waits_{0};
   mutable std::atomic<std::uint64_t> decode_errors_{0};
@@ -206,16 +190,6 @@ class TileCache {
   // driving it. Both relaxed — the decay is an approximation by design.
   std::atomic<std::uint32_t> epoch_{0};
   std::atomic<std::uint64_t> epoch_accesses_{0};
-
-  // Registered archives under archives_mutex_; slots are stable but
-  // update_archive may swap a slot's reader and heat. heats_[i] is the
-  // per-tile heat storage for archives_[i], allocated whole at
-  // registration and immutable in shape afterwards; it is shared so a hot
-  // path that resolved the heat keeps it alive across a concurrent swap
-  // without holding the mutex.
-  mutable std::mutex archives_mutex_;
-  std::vector<std::shared_ptr<const ArchiveReader>> archives_;
-  std::vector<std::shared_ptr<ArchiveHeat>> heats_;
 };
 
 }  // namespace xfc::server

@@ -487,7 +487,6 @@ void expect_reads_match_writer(const AnchoredArchive& a) {
   const auto reader = std::make_shared<const ArchiveReader>(
       ArchiveReader::open_memory(a.bytes));
   server::TileCache cache;
-  const std::uint64_t id = cache.add_archive(reader);
   for (std::size_t fi = 0; fi < reader->fields().size(); ++fi) {
     const ArchiveFieldInfo& info = reader->fields()[fi];
     const F32Array& want = a.recon.at(info.name).array();
@@ -508,7 +507,7 @@ void expect_reads_match_writer(const AnchoredArchive& a) {
       const F32Array tile = extract_tile(want, grid.box(t));
       EXPECT_EQ(reader->read_tile(info, t, {}).array(), tile)
           << info.name << " tile " << t;
-      EXPECT_EQ(cache.get(id, fi, t)->array(), tile)
+      EXPECT_EQ(cache.get(*reader, fi, t)->array(), tile)
           << info.name << " cached tile " << t;
     }
 

@@ -14,9 +14,9 @@
 #include "nn/conv2d.hpp"
 #include "nn/graph.hpp"
 #include "nn/layers.hpp"
-#include "nn/loss.hpp"
 #include "nn/optimizer.hpp"
 #include "nn/sequential.hpp"
+#include "nn/tensor.hpp"
 
 namespace xfc::nn {
 namespace {
@@ -312,13 +312,21 @@ TEST(SequentialModel, ParamCountSumsLayers) {
 }
 
 TEST(MseLoss, ValueAndGradient) {
-  Tensor a(1, 1, 1, 2), b(1, 1, 1, 2);
-  a.vec() = {1.0f, 3.0f};
-  b.vec() = {0.0f, 1.0f};
-  auto [loss, grad] = mse_loss(a, b);
-  EXPECT_DOUBLE_EQ(loss, (1.0 + 4.0) / 2.0);
-  EXPECT_FLOAT_EQ(grad.vec()[0], 2.0f * 1.0f / 2.0f);
-  EXPECT_FLOAT_EQ(grad.vec()[1], 2.0f * 2.0f / 2.0f);
+  const std::vector<float> a{1.0f, 3.0f}, b{0.0f, 1.0f};
+  Graph g(Graph::Mode::kTrain);
+  const NodeRef pred = g.input({1, 1, 1, 2}, /*needs_grad=*/true);
+  const NodeRef tgt = g.input({1, 1, 1, 2});
+  g.mse_loss(pred, tgt);
+  GraphExec exec(g, tls_workspace());
+  exec.bind(pred, a.data());
+  exec.bind(tgt, b.data());
+  exec.forward();
+  EXPECT_DOUBLE_EQ(exec.loss(), (1.0 + 4.0) / 2.0);
+  exec.backward();
+  const float* grad = exec.grad(pred);
+  ASSERT_NE(grad, nullptr);
+  EXPECT_FLOAT_EQ(grad[0], 2.0f * 1.0f / 2.0f);
+  EXPECT_FLOAT_EQ(grad[1], 2.0f * 2.0f / 2.0f);
 }
 
 TEST(AdamOptimizer, ConvergesOnQuadratic) {
@@ -451,8 +459,10 @@ TEST(ChannelAttentionLayer, SerializeRoundtripForwardEquality) {
 }
 
 TEST(MseLoss, RejectsMismatchedShapes) {
-  Tensor a(1, 1, 2, 2), b(1, 1, 2, 3);
-  EXPECT_THROW(mse_loss(a, b), InvalidArgument);
+  Graph g(Graph::Mode::kTrain);
+  const NodeRef a = g.input({1, 1, 2, 2});
+  const NodeRef b = g.input({1, 1, 2, 3});
+  EXPECT_THROW(g.mse_loss(a, b), InvalidArgument);
 }
 
 TEST(Serialization, SequentialRoundtripPreservesForward) {

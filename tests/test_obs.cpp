@@ -38,8 +38,6 @@
 #include "server/service.hpp"
 #include "server/tile_cache.hpp"
 
-#ifndef XFC_NO_METRICS
-
 namespace xfc {
 namespace {
 
@@ -519,15 +517,14 @@ TEST(TileCacheHeat, MirrorsStatsAndDecaysAcrossEpochs) {
   std::vector<std::uint8_t> storage;
   const auto reader = make_archive(storage);  // "f": 70x90, 3x3 tile grid
   server::TileCache cache(server::TileCacheConfig{8u << 20, 2});
-  const std::uint64_t id = cache.add_archive(reader);
 
   // Scripted pattern: tile 0 three times, tile 1 once, tile 4 twice.
-  for (int i = 0; i < 3; ++i) (void)cache.get(id, std::size_t{0}, 0);
-  (void)cache.get(id, std::size_t{0}, 1);
-  (void)cache.get(id, std::size_t{0}, 4);
-  (void)cache.get(id, std::size_t{0}, 4);
+  for (int i = 0; i < 3; ++i) (void)cache.get(*reader, std::size_t{0}, 0);
+  (void)cache.get(*reader, std::size_t{0}, 1);
+  (void)cache.get(*reader, std::size_t{0}, 4);
+  (void)cache.get(*reader, std::size_t{0}, 4);
 
-  const std::vector<server::TileHeat> heat = cache.field_heat(id, 0);
+  const std::vector<server::TileHeat> heat = cache.field_heat(*reader, 0);
   ASSERT_EQ(heat.size(), 9u);
   EXPECT_EQ(heat[0].misses, 1u);
   EXPECT_EQ(heat[0].hits, 2u);
@@ -562,12 +559,11 @@ TEST(TileCacheHeat, MirrorsStatsAndDecaysAcrossEpochs) {
   EXPECT_EQ(heat[0].hot, 3u);
   EXPECT_EQ(heat[0].last_epoch, cache.access_epoch());
   cache.advance_access_epoch();
-  (void)cache.get(id, std::size_t{0}, 0);
-  EXPECT_EQ(cache.field_heat(id, 0)[0].hot, 2u);
+  (void)cache.get(*reader, std::size_t{0}, 0);
+  EXPECT_EQ(cache.field_heat(*reader, 0)[0].hot, 2u);
 
-  // Unknown archive/field answer empty, not UB.
-  EXPECT_TRUE(cache.field_heat(id + 999, 0).empty());
-  EXPECT_TRUE(cache.field_heat(id, 99).empty());
+  // An unknown field answers empty, not UB.
+  EXPECT_TRUE(cache.field_heat(*reader, 99).empty());
 }
 
 // -- /debug/cache + /debug/prof endpoints ------------------------------------
@@ -774,12 +770,3 @@ TEST(BenchCompare, FlagsRegressionsPastThresholdOnly) {
 
 }  // namespace
 }  // namespace xfc
-
-#else  // XFC_NO_METRICS
-
-// The compile-out build keeps the endpoints but freezes every value; the
-// behavioral suite above would legitimately observe zeros, so it only runs
-// in instrumented builds.
-TEST(Metrics, CompiledOut) { EXPECT_FALSE(xfc::obs::enabled()); }
-
-#endif  // XFC_NO_METRICS

@@ -1,6 +1,7 @@
 // XFS serving-subsystem tests: the sharded decoded-tile cache (bit-identity
 // with direct reads, single-flight decode under contention, LRU eviction at
-// tiny budgets, anchor resolution through the cache), the per-tile decode
+// tiny budgets, anchor resolution through the cache, tile versions across
+// snapshots), reads concurrent with live ingest, the per-tile decode
 // entry point, anchor-graph validation, and the HTTP layer (endpoints over
 // real loopback sockets, keep-alive/pipelining, and a malformed-request
 // fuzz suite that must answer clean 4xx/5xx without killing the server).
@@ -9,11 +10,14 @@
 
 #include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cmath>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
+#include <map>
+#include <set>
 #include <thread>
 
 #include "archive/archive_appender.hpp"
@@ -209,16 +213,15 @@ TEST(TileCacheTest, ServesBitIdenticalTilesAndCountsHits) {
   std::vector<std::uint8_t> storage;
   const auto reader = make_multi_codec_archive(storage);
   TileCache cache(TileCacheConfig{8u << 20, 4});
-  const std::uint64_t id = cache.add_archive(reader);
 
   const ArchiveFieldInfo& info = *reader->find("f_sz");
   const Field direct = reader->read_tile(info, 3, {});
-  const auto cached = cache.get(id, "f_sz", 3);
+  const auto cached = cache.get(*reader, "f_sz", 3);
   ASSERT_NE(cached, nullptr);
   EXPECT_EQ(cached->array(), direct.array());
 
   // Second get is a hit returning the same object.
-  const auto again = cache.get(id, "f_sz", 3);
+  const auto again = cache.get(*reader, "f_sz", 3);
   EXPECT_EQ(again.get(), cached.get());
   const auto stats = cache.stats();
   EXPECT_EQ(stats.misses, 1u);
@@ -226,16 +229,15 @@ TEST(TileCacheTest, ServesBitIdenticalTilesAndCountsHits) {
   EXPECT_EQ(stats.entries, 1u);
   EXPECT_GT(stats.bytes, 0u);
 
-  EXPECT_THROW(cache.get(id, "nope", 0), InvalidArgument);
-  EXPECT_THROW(cache.get(id, "f_sz", 1u << 20), InvalidArgument);
-  EXPECT_THROW(cache.get(id + 100, "f_sz", 0), InvalidArgument);
+  EXPECT_THROW(cache.get(*reader, "nope", 0), InvalidArgument);
+  EXPECT_THROW(cache.get(*reader, "f_sz", 1u << 20), InvalidArgument);
+  EXPECT_THROW(cache.get(*reader, std::size_t{100}, 0), InvalidArgument);
 }
 
 TEST(TileCacheTest, SingleFlightDecodesColdTileOnce) {
   std::vector<std::uint8_t> storage;
   const auto reader = make_multi_codec_archive(storage);
   TileCache cache(TileCacheConfig{8u << 20, 4});
-  const std::uint64_t id = cache.add_archive(reader);
 
   constexpr int kThreads = 8;
   std::atomic<int> at_gate{0};
@@ -247,7 +249,7 @@ TEST(TileCacheTest, SingleFlightDecodesColdTileOnce) {
       // Spin barrier so every thread requests the cold tile together.
       at_gate.fetch_add(1);
       while (at_gate.load() < kThreads) std::this_thread::yield();
-      results[i] = cache.get(id, "f_interp", 2);
+      results[i] = cache.get(*reader, "f_interp", 2);
     });
   }
   for (auto& t : threads) t.join();
@@ -270,9 +272,8 @@ TEST(TileCacheTest, LruEvictsAtTinyBudget) {
   // Budget for roughly three 32x32 tiles; one shard so LRU order is global.
   const std::size_t tile_bytes = 32 * 32 * sizeof(float);
   TileCache cache(TileCacheConfig{3 * tile_bytes + 512, 1});
-  const std::uint64_t id = cache.add_archive(reader);
 
-  for (std::size_t t = 0; t < 6; ++t) cache.get(id, "f_sz", t);
+  for (std::size_t t = 0; t < 6; ++t) cache.get(*reader, "f_sz", t);
   auto stats = cache.stats();
   EXPECT_EQ(stats.misses, 6u);
   EXPECT_GT(stats.evictions, 0u);
@@ -280,12 +281,12 @@ TEST(TileCacheTest, LruEvictsAtTinyBudget) {
   EXPECT_LT(stats.entries, 6u);
 
   // Tile 0 was the coldest; it must have been evicted and re-decode.
-  cache.get(id, "f_sz", 0);
+  cache.get(*reader, "f_sz", 0);
   stats = cache.stats();
   EXPECT_EQ(stats.misses, 7u);
 
   // The most recent tile (5) must still be resident.
-  cache.get(id, "f_sz", 5);
+  cache.get(*reader, "f_sz", 5);
   EXPECT_EQ(cache.stats().hits, 1u);
 }
 
@@ -293,11 +294,10 @@ TEST(TileCacheTest, CrossFieldAnchorsResolveThroughCache) {
   std::vector<std::uint8_t> storage;
   const auto reader = make_cross_field_archive(storage);
   TileCache cache(TileCacheConfig{8u << 20, 2});
-  const std::uint64_t id = cache.add_archive(reader);
 
   const ArchiveFieldInfo& tgt = *reader->find("TGT");
   const Field direct = reader->read_tile(tgt, 1, {});
-  const auto cached = cache.get(id, "TGT", 1);
+  const auto cached = cache.get(*reader, "TGT", 1);
   EXPECT_EQ(cached->array(), direct.array());
 
   // Decoding the target tile populated its anchor tile too (2 misses: the
@@ -307,92 +307,120 @@ TEST(TileCacheTest, CrossFieldAnchorsResolveThroughCache) {
   EXPECT_EQ(stats.entries, 2u);
 
   // The anchor's tile is now a hit for direct anchor reads.
-  cache.get(id, "A0", 1);
+  cache.get(*reader, "A0", 1);
   EXPECT_EQ(cache.stats().hits, 1u);
 }
 
-TEST(TileCacheTest, InvalidateDropsPositiveAndNegativeEntriesOfOneField) {
+/// Seals one epoch onto the in-memory archive `bytes` (read by `current`),
+/// replacing or appending `field` with 32x32 tiles, and returns a reader of
+/// the result, which lives in `out`. `bytes` stays untouched, so `current`
+/// keeps serving the older snapshot.
+std::shared_ptr<const ArchiveReader> seal_epoch(
+    const std::vector<std::uint8_t>& bytes, const ArchiveReader& current,
+    const Field& field, bool replace, std::vector<std::uint8_t>& out) {
+  VectorSink sink(bytes);
+  ArchiveAppender appender(sink, current);
+  ArchiveFieldOptions opts;
+  opts.eb = ErrorBound::relative(1e-3);
+  opts.tile = Shape{32, 32};
+  if (replace)
+    appender.replace_field(field, opts);
+  else
+    appender.append_field(field, opts);
+  appender.finish_epoch();
+  out = sink.take();
+  return std::make_shared<const ArchiveReader>(
+      ArchiveReader::open_memory(out));
+}
+
+TEST(TileCacheTest, ReplacedFieldDecodesFreshBesideItsOldVersion) {
   std::vector<std::uint8_t> storage;
   make_multi_codec_archive(storage);
-  // Poison one f_sz tile so the field accrues a negative entry too.
+  // Poison one f_sz tile so the old version accrues a negative entry too.
   {
     const ArchiveReader clean = ArchiveReader::open_memory(storage);
     const ArchiveTileInfo& t = clean.find("f_sz")->tiles[1];
     storage[t.offset + t.size / 2] ^= 0x10;
   }
-  auto reader = std::make_shared<const ArchiveReader>(
+  const auto old_reader = std::make_shared<const ArchiveReader>(
       ArchiveReader::open_memory(storage));
   TileCacheConfig config{8u << 20, 4};
   config.negative_ttl_ms = 60'000;  // would pin the error for the whole test
   TileCache cache(config);
-  const std::uint64_t id = cache.add_archive(reader);
 
-  const auto t0 = cache.get(id, "f_sz", 0);
-  const auto t3 = cache.get(id, "f_sz", 3);
-  const auto other = cache.get(id, "f_classic", 0);
-  EXPECT_THROW(cache.get(id, "f_sz", 1), CorruptStream);
-  EXPECT_THROW(cache.get(id, "f_sz", 1), CorruptStream);  // negative hit
-  ASSERT_EQ(cache.stats().entries, 3u);
+  const auto old0 = cache.get(*old_reader, "f_sz", 0);
+  EXPECT_THROW(cache.get(*old_reader, "f_sz", 1), CorruptStream);
   ASSERT_EQ(cache.stats().negative_entries, 1u);
-  ASSERT_EQ(cache.stats().misses, 4u);
-  ASSERT_EQ(cache.stats().negative_hits, 1u);
 
-  // f_sz is field index 0; the sweep drops its two cached tiles AND the
-  // poisoned entry — a re-ingested field must not serve a stale backoff
-  // any more than stale bytes — and touches nothing else.
-  EXPECT_EQ(cache.invalidate(id, 0), 3u);
-  EXPECT_EQ(cache.stats().entries, 1u);
-  EXPECT_EQ(cache.stats().negative_entries, 0u);
+  // A real replace_field epoch: same field index, new append epoch.
+  std::vector<std::uint8_t> new_storage;
+  const auto new_reader =
+      seal_epoch(storage, *old_reader, smooth_field("f_sz", Shape{70, 90}, 1234),
+                 true, new_storage);
+  ASSERT_EQ(new_reader->find("f_sz") - new_reader->fields().data(), 0);
+  ASSERT_NE(new_reader->find("f_sz")->epoch, old_reader->find("f_sz")->epoch);
 
-  // The untouched field is still warm; f_sz decodes from scratch.
-  EXPECT_EQ(cache.get(id, "f_classic", 0).get(), other.get());
-  const auto t0b = cache.get(id, "f_sz", 0);
-  ASSERT_NE(t0b, nullptr);
-  EXPECT_EQ(t0b->array(), t0->array());
-  EXPECT_NE(t0b.get(), t0.get());
-  EXPECT_THROW(cache.get(id, "f_sz", 1), CorruptStream);  // fresh attempt
-  EXPECT_EQ(cache.stats().misses, 6u);
-  EXPECT_EQ(cache.stats().negative_entries, 1u);
+  // The new version decodes fresh: not the old version's cached failure,
+  // not its cached bytes.
+  const auto new1 = cache.get(*new_reader, "f_sz", 1);
+  EXPECT_EQ(new1->array(),
+            new_reader->read_tile(*new_reader->find("f_sz"), 1, {}).array());
+  const auto new0 = cache.get(*new_reader, "f_sz", 0);
+  EXPECT_NE(new0.get(), old0.get());
+  EXPECT_EQ(new0->array(),
+            new_reader->read_tile(*new_reader->find("f_sz"), 0, {}).array());
+  EXPECT_NE(new0->array(), old0->array());
 
-  // Per-tile variant: drops exactly the named entry (t3 went with the
-  // field-level sweep and was never re-fetched).
-  EXPECT_EQ(cache.invalidate_tile(id, 0, 0), 1u);
-  EXPECT_EQ(cache.stats().entries, 1u);  // f_classic 0 alone
-  (void)t3;
+  // A request still holding the old snapshot reads the old version whole:
+  // the same tile object, and the same cached failure.
+  EXPECT_EQ(cache.get(*old_reader, "f_sz", 0).get(), old0.get());
+  EXPECT_THROW(cache.get(*old_reader, "f_sz", 1), CorruptStream);
+  const auto stats = cache.stats();
+  EXPECT_EQ(stats.misses, 4u);  // old 0, old 1, new 1, new 0
+  EXPECT_EQ(stats.hits, 1u);
+  EXPECT_EQ(stats.negative_hits, 1u);
+  EXPECT_EQ(stats.entries, 3u);
+
+  // Heat is per (field, ordinal) across versions.
+  const std::vector<server::TileHeat> heat = cache.field_heat(*new_reader, 0);
+  EXPECT_EQ(heat[0].misses, 2u);
+  EXPECT_EQ(heat[0].hits, 1u);
+  EXPECT_EQ(heat[1].misses, 2u);
 }
 
-TEST(TileCacheTest, UpdateArchiveKeepsUnchangedFieldsWarm) {
+TEST(TileCacheTest, UnchangedAndAppendedFieldsStayWarmAcrossSnapshots) {
   std::vector<std::uint8_t> storage;
-  const auto reader = make_multi_codec_archive(storage);
+  const auto r0 = make_multi_codec_archive(storage);
   TileCache cache(TileCacheConfig{8u << 20, 4});
-  const std::uint64_t id = cache.add_archive(reader);
-  const auto warm = cache.get(id, "f_sz", 3);
+  const auto warm = cache.get(*r0, "f_sz", 3);
+  const auto interp0 = cache.get(*r0, "f_interp", 0);
 
-  // Append an epoch in memory and swap the reader under the same id.
-  VectorSink sink(storage);
-  ArchiveAppender appender(sink, *reader);
-  ArchiveFieldOptions opts;
-  opts.eb = ErrorBound::relative(1e-3);
-  opts.tile = Shape{32, 32};
-  appender.append_field(smooth_field("fresh", Shape{70, 90}, 99), opts);
-  appender.finish_epoch();
-  const std::vector<std::uint8_t> bytes = sink.take();
-  auto fresh = std::make_shared<const ArchiveReader>(
-      ArchiveReader::open_memory(bytes));
-  cache.update_archive(id, fresh);
+  // Epoch 1 appends a field; epoch 2 replaces f_interp.
+  std::vector<std::uint8_t> storage1, storage2;
+  const auto r1 = seal_epoch(storage, *r0,
+                             smooth_field("fresh", Shape{70, 90}, 99), false,
+                             storage1);
+  const auto fresh = cache.get(*r1, "fresh", 0);
+  EXPECT_EQ(fresh->array(), r1->read_tile(*r1->find("fresh"), 0, {}).array());
+  const auto r2 = seal_epoch(storage1, *r1,
+                             smooth_field("f_interp", Shape{70, 90}, 5), true,
+                             storage2);
+  EXPECT_EQ(cache.stats().misses, 3u);
 
-  // Field indices are append-stable, so the warm tile is still a hit —
-  // the same object, no re-decode.
-  EXPECT_EQ(cache.get(id, "f_sz", 3).get(), warm.get());
-  EXPECT_EQ(cache.stats().hits, 1u);
+  // Field indices are append-stable and untouched fields keep their epoch,
+  // so every snapshot hits the same entries: no re-decode.
+  EXPECT_EQ(cache.get(*r1, "f_sz", 3).get(), warm.get());
+  EXPECT_EQ(cache.get(*r2, "f_sz", 3).get(), warm.get());
+  EXPECT_EQ(cache.get(*r2, "fresh", 0).get(), fresh.get());
+  EXPECT_EQ(cache.get(*r1, "f_interp", 0).get(), interp0.get());
+  EXPECT_EQ(cache.stats().hits, 4u);
 
-  // The appended field decodes through the swapped reader.
-  const auto nf = cache.get(id, "fresh", 0);
-  ASSERT_NE(nf, nullptr);
-  EXPECT_EQ(nf->array(),
-            fresh->read_tile(*fresh->find("fresh"), 0, {}).array());
-
-  EXPECT_THROW(cache.update_archive(id + 7, fresh), InvalidArgument);
+  // The replaced field is a new version under the newest snapshot only.
+  const auto interp2 = cache.get(*r2, "f_interp", 0);
+  EXPECT_NE(interp2.get(), interp0.get());
+  EXPECT_EQ(interp2->array(),
+            r2->read_tile(*r2->find("f_interp"), 0, {}).array());
+  EXPECT_EQ(cache.stats().misses, 4u);
 }
 
 // -- Service endpoints (no sockets) ------------------------------------------
@@ -889,6 +917,112 @@ TEST(Service, IngestRefusesReplacingAnchoredField) {
   req.path = "/field/TGT";
   const auto ok = service.handle(req);
   EXPECT_EQ(ok.status, 200) << ok.body;
+  std::remove(path.c_str());
+}
+
+TEST(Service, ConcurrentIngestAndReadsServeWholeVersions) {
+  // Readers GET a whole 64x64 field (16 tiles) while PUTs replace it. Every
+  // response must be one version whole — never tiles of two versions
+  // spliced together — and its ETag must name that version alone.
+  const std::string path = ::testing::TempDir() + "xfc_server_versions." +
+                           std::to_string(::getpid()) + ".xfa";
+  std::remove(path.c_str());
+  const auto version_values = [](int v) {
+    std::vector<float> values(64 * 64);
+    for (std::size_t i = 0; i < values.size(); ++i) {
+      const double x = static_cast<double>(i % 64) / 10.0;
+      const double y = static_cast<double>(i / 64) / 14.0;
+      values[i] = static_cast<float>(std::sin(x) * std::cos(y) * 10.0 + 3 * v);
+    }
+    return values;
+  };
+  {
+    FileSink sink(path);
+    ArchiveWriter writer(sink);
+    ArchiveFieldOptions opts;
+    opts.eb = ErrorBound::absolute(0.01);
+    opts.tile = Shape{16, 16};
+    const std::vector<float> v0 = version_values(0);
+    F32Array a(Shape{64, 64});
+    std::copy(v0.begin(), v0.end(), a.data());
+    writer.add_field(Field("live", std::move(a)), opts);
+    writer.finish();
+  }
+  server::ServiceConfig sconfig;
+  sconfig.archive_path = path;
+  ArchiveService service(
+      std::make_shared<const ArchiveReader>(ArchiveReader::open_file(path)),
+      sconfig);
+  std::vector<std::string> versions{
+      field_bytes(service.reader()->read_field("live"))};
+
+  constexpr int kReaders = 3;
+  constexpr int kPuts = 24;
+  std::atomic<bool> done{false};
+  struct Seen {
+    std::map<std::string, std::set<std::string>> bodies_by_etag;
+    int responses = 0;
+    int errors = 0;
+  };
+  std::vector<Seen> seen(kReaders);
+  std::vector<std::thread> readers;
+  for (int r = 0; r < kReaders; ++r) {
+    readers.emplace_back([&, r] {
+      do {
+        const HttpResponse resp =
+            service.handle(region_request("live", "0,0", "64,64"));
+        ++seen[r].responses;
+        const auto etag = std::find_if(
+            resp.headers.begin(), resp.headers.end(),
+            [](const auto& h) { return h.first == "ETag"; });
+        if (resp.status != 200 || etag == resp.headers.end()) {
+          ++seen[r].errors;
+          continue;
+        }
+        seen[r].bodies_by_etag[etag->second].insert(resp.body);
+      } while (!done.load());
+    });
+  }
+  HttpRequest put;
+  put.method = "PUT";
+  put.path = "/field/live";
+  put.query = "shape=64,64&mode=abs&eb=0.01&tile=16,16";
+  for (int v = 1; v <= kPuts; ++v) {
+    const std::vector<float> values = version_values(v);
+    put.body = f32_body(values);
+    const HttpResponse resp = service.handle(put);
+    EXPECT_EQ(resp.status, 200) << resp.body;
+    if (resp.status != 200) break;
+    versions.push_back(field_bytes(service.reader()->read_field("live")));
+  }
+  done.store(true);
+  for (auto& t : readers) t.join();
+  ASSERT_EQ(versions.size(), std::size_t{kPuts + 1});
+
+  const std::set<std::string> whole(versions.begin(), versions.end());
+  ASSERT_EQ(whole.size(), versions.size());  // every PUT changed the bytes
+  std::map<std::string, std::set<std::string>> bodies_by_etag;
+  int responses = 0, errors = 0, spliced = 0;
+  for (const Seen& s : seen) {
+    responses += s.responses;
+    errors += s.errors;
+    for (const auto& [etag, bodies] : s.bodies_by_etag)
+      bodies_by_etag[etag].insert(bodies.begin(), bodies.end());
+  }
+  for (const auto& [etag, bodies] : bodies_by_etag) {
+    EXPECT_EQ(bodies.size(), 1u) << "ETag " << etag << " labels "
+                                 << bodies.size() << " different bodies";
+    for (const std::string& body : bodies) spliced += whole.count(body) == 0;
+  }
+  EXPECT_EQ(errors, 0);
+  EXPECT_EQ(spliced, 0) << "distinct spliced bodies in " << responses
+                        << " responses";
+
+  // After the last PUT, a read serves the last version.
+  const HttpResponse last =
+      service.handle(region_request("live", "0,0", "64,64"));
+  ASSERT_EQ(last.status, 200);
+  EXPECT_EQ(last.body, versions.back());
   std::remove(path.c_str());
 }
 
