@@ -11,6 +11,7 @@
 ///   {"name": ..., "wall_ms": ..., "bytes_per_sec": ...}
 /// where bytes_per_sec is 0 for benches without a natural byte volume.
 
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <string>
@@ -45,28 +46,38 @@ inline double now_ms() {
       .count();
 }
 
-/// Process-wide measurement budget. Benches run each stage until both
-/// limits are met; the bench-smoke ctest drops them to one iteration so the
-/// bench binaries stay exercised by CI without CI paying bench runtimes.
-inline double& bench_min_ms() {
-  static double v = 300.0;
-  return v;
-}
-inline int& bench_min_iters() {
-  static int v = 3;
+/// Measurement budget. Benches run each stage until both limits are met.
+inline constexpr double kBenchMinMs = 300.0;
+inline constexpr int kBenchMinIters = 3;
+
+/// Smoke runs (the bench-smoke ctest) set this instead of a budget: each
+/// stage is then timed as the fastest of this many single calls, so the
+/// bench binaries stay exercised by CI without CI paying bench runtimes,
+/// and one badly scheduled call does not read as a regression.
+inline int& bench_smoke_calls() {
+  static int v = 0;
   return v;
 }
 
 /// Runs fn() until at least `min_ms` of wall clock and `min_iters` calls
-/// have elapsed (defaults: the process-wide budget above); returns mean
-/// wall milliseconds per call.
+/// have elapsed (defaults: the budget above); returns mean wall
+/// milliseconds per call. With bench_smoke_calls() set, returns the
+/// fastest of that many calls instead.
 template <class F>
-double time_ms(F&& fn, double min_ms = -1.0, int min_iters = -1) {
-  if (min_ms < 0.0) min_ms = bench_min_ms();
-  if (min_iters < 0) min_iters = bench_min_iters();
+double time_ms(F&& fn, double min_ms = kBenchMinMs,
+               int min_iters = kBenchMinIters) {
   // One untimed warmup call settles lazy initialisation (thread pool,
   // scratch arenas, page faults on freshly allocated buffers).
   fn();
+  if (bench_smoke_calls() > 0) {
+    double best = 1e300;
+    for (int i = 0; i < bench_smoke_calls(); ++i) {
+      const double t = now_ms();
+      fn();
+      best = std::min(best, now_ms() - t);
+    }
+    return best;
+  }
   const double t0 = now_ms();
   int iters = 0;
   double elapsed = 0.0;

@@ -36,7 +36,7 @@ namespace xfc::bench {
 
 struct BenchOptions {
   bool full = false;
-  bool smoke = false;  // 1 iteration per stage (the bench-smoke ctest)
+  bool smoke = false;  // min of 3 calls per stage (the bench-smoke ctest)
   std::uint64_t seed = 2024;
   std::string outdir = "xfc_artifacts";
   std::string profile;  // --profile FILE|- : folded CPU samples at exit
@@ -87,10 +87,7 @@ inline BenchOptions parse_args(int argc, char** argv) {
       std::exit(0);
     }
   }
-  if (opt.smoke) {
-    bench_min_ms() = 0.0;
-    bench_min_iters() = 1;
-  }
+  if (opt.smoke) bench_smoke_calls() = 3;
   if (!opt.profile.empty()) {
     profile_path() = opt.profile;
     if (obs::profiler_arm({}))

@@ -25,7 +25,7 @@
 // `--profile-check` exercises the sampling profiler end to end (wired into
 // ctest as `profiler_smoke`): it profiles a compress + cross-field
 // region-decode workload and requires the folded stacks to name the known
-// hot kernels (sgemm, huffman, miniflate), then runs an interleaved
+// hot kernels (conv_rows, huffman, miniflate), then runs an interleaved
 // min-of-5 A/B of the warm service path armed at 97 Hz vs disarmed and
 // fails if sampling costs more than a noise-margin ceiling.
 //
@@ -148,8 +148,8 @@ int run_overhead_check(const BenchOptions& opt) {
   return 0;
 }
 
-/// Anchor + cross-field target so region decodes run the CFNN (sgemm) in
-/// addition to miniflate/huffman — the three kernels the folded-stack
+/// Anchor + cross-field target so region decodes run the CFNN (conv_rows)
+/// in addition to miniflate/huffman — the three kernels the folded-stack
 /// check greps for. Wider model than the unit tests so inference is a
 /// visible slice of each tile decode.
 std::shared_ptr<const ArchiveReader> build_cross_field_archive(
@@ -188,7 +188,7 @@ std::shared_ptr<const ArchiveReader> build_cross_field_archive(
 }
 
 /// Profiler smoke: (a) folded stacks from a compress + region-decode
-/// workload must name sgemm, huffman and miniflate frames; (b) the warm
+/// workload must name conv_rows, huffman and miniflate frames; (b) the warm
 /// service path armed at 97 Hz must stay within a noise ceiling of the
 /// disarmed path (the paper number is <=1.05x; the gate uses 1.25x so CI
 /// scheduler jitter cannot flake it — the measured ratio lands in the
@@ -248,7 +248,7 @@ int run_profile_check(const BenchOptions& opt) {
       if (cold_service.handle(req).status != 200) std::abort();
     } while (now_ms() - t0 < window_ms);
     report = obs::profiler_disarm();
-    frames_ok = report.folded.find("sgemm") != std::string::npos &&
+    frames_ok = report.folded.find("conv_rows") != std::string::npos &&
                 report.folded.find("uffman") != std::string::npos &&
                 report.folded.find("iniflate") != std::string::npos;
     std::printf("attempt %d: %llu samples (%llu dropped), frames %s\n",
@@ -490,7 +490,7 @@ int main(int argc, char** argv) {
       server::HttpClient warm("127.0.0.1", http.port());
       (void)warm.get(region_target);  // decode tiles once, outside timing
     }
-    const double window_ms = opt.smoke ? 25.0 : std::max(bench_min_ms(), 250.0);
+    const double window_ms = opt.smoke ? 25.0 : std::max(kBenchMinMs, 250.0);
     for (const int conns : {1, 2, 4, 8}) {
       obs::Histogram lat(obs::log_buckets(10.0, 2e6, 1.25));
       std::atomic<std::uint64_t> total{0};

@@ -18,9 +18,11 @@
 /// bit-identical to cropping a full decode (tiles are independent streams).
 ///
 /// Every tile decode verifies the per-tile CRC before parsing a body, and
-/// every malformed-archive condition — truncation, bit flips, shuffled or
-/// cross-wired index entries, dangling or cyclic anchors — surfaces as
-/// CorruptStream.
+/// every malformed-archive condition the checks catch — truncation, bit
+/// flips, dangling or cyclic anchors, index entries whose bodies differ in
+/// length from the one the CRC was taken over — surfaces as CorruptStream.
+/// The tile CRC does not identify content: an index entry pointed at
+/// another valid body of the same length passes (see archive_tile_crc).
 
 #include <functional>
 #include <memory>
@@ -41,10 +43,12 @@ inline constexpr std::uint8_t kArchiveVersion = 1;
 inline constexpr std::size_t kArchiveHeaderSize = 5;   // "XFA1" + version
 inline constexpr std::size_t kArchiveTrailerSize = 24;  // crc+off+size+magic
 
-/// Position-dependent tile checksum: CRC-32 over (field name, LE64 tile
-/// ordinal, body bytes). Because the field and ordinal are mixed in, an
-/// index whose entries were shuffled or pointed at another tile's (valid)
-/// body still fails verification.
+/// Tile checksum: CRC-32 over (field name, LE64 tile ordinal, body bytes).
+/// It catches a corrupted body. It does not catch a different valid body of
+/// the same length: every body ends in its XFC1 container's own CRC-32, and
+/// a CRC-32 over a message followed by its own CRC is a constant, so for
+/// valid bodies this value depends only on (field name, ordinal, body
+/// length). Identifying content needs a content hash in the index.
 std::uint32_t archive_tile_crc(const std::string& field_name,
                                std::uint64_t ordinal,
                                std::span<const std::uint8_t> body);

@@ -46,9 +46,9 @@
 /// The fixed-size trailer at EOF is what makes the format seekable: a
 /// reader checks both magics, jumps to the footer, CRC-validates it, and
 /// from then on touches only the tile bodies a query needs. The per-tile
-/// CRC is computed over (field name, tile ordinal, body bytes), so a
-/// shuffled or cross-wired index is detected even when the bodies it points
-/// at are themselves valid streams.
+/// CRC is computed over (field name, tile ordinal, body bytes). It catches
+/// a corrupted body, but not an index entry pointed at another valid body
+/// of the same length (see archive_tile_crc).
 ///
 /// Error-bound semantics: the writer resolves a relative bound against the
 /// *full field's* value range once and compresses every tile at that

@@ -9,7 +9,8 @@
 /// out_channels is a depthwise convolution; kernel 1x1 with groups == 1 is
 /// a pointwise convolution — together these are the building blocks of the
 /// paper's depthwise-separable CFNN stage (Fig. 4). Execution is the
-/// graph's kConv2D op (im2col + GEMM, see graph.cpp).
+/// graph's kConv2D op: a direct kernel forward (graph.cpp), im2col + GEMM
+/// backward (autodiff.cpp).
 
 #include <memory>
 

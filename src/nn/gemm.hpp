@@ -2,8 +2,10 @@
 #define XFC_NN_GEMM_HPP
 
 /// \file gemm.hpp
-/// Single-precision GEMM: the one compute kernel every NN layer lowers
-/// onto (Conv2D via im2col, Linear directly).
+/// Single-precision GEMM: the Linear forward pass, and the backward passes
+/// of Linear and of Conv2D (via im2col/col2im). The Conv2D forward pass is
+/// a direct kernel (graph.cpp) that sums in the order this GEMM's KC = 240
+/// blocking fixed for the archives written before it.
 ///
 /// All matrices are dense row-major. Computes
 ///   C = alpha * op(A) * op(B) + beta * C

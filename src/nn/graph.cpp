@@ -6,7 +6,6 @@
 
 #include "core/utils.hpp"
 #include "nn/gemm.hpp"
-#include "nn/im2col.hpp"
 
 namespace xfc::nn {
 
@@ -196,9 +195,103 @@ std::size_t Graph::param_count() const {
 
 // ----------------------------------------------------- forward kernels ----
 //
-// These port the pre-graph layer kernels verbatim (same parallel structure,
-// same float op order) — the inference arithmetic is frozen, see the file
-// comment in graph.hpp.
+// Every kernel here keeps the float op order of the pre-graph layer kernels
+// — the inference arithmetic is frozen, see the file comment in graph.hpp.
+// Each output value is summed by one thread in one order, so the schedule
+// (tasks, threads, SIMD lanes) is free and the results are not.
+
+namespace detail {
+
+// Convolution's frozen summation order. Output (oc, oy, ox) sums the terms
+// w[oc][k] * x_padded[ic][oy + ky][ox + kx] over k = (ic, ky, kx)
+// ascending, zero-padding terms included: an Inf or NaN weight times a
+// padding zero is NaN, so skipping them would change bits. The terms go in
+// chunks of kConvChunk, each summed from 0.0f; C = acc_0, then
+// C = acc_i + C; the bias is added last. This is the order the blocked
+// im2col + sgemm forward (KC = 240, bias in a second pass) produced, and
+// archives written with it must decode.
+constexpr std::size_t kConvChunk = 240;
+
+// Register tile: up to kConvBlock output channels x kConvTile pixels of one
+// row, as kConvVecs vectors of four lanes per channel. Arithmetic on the
+// vector type compiles to one SIMD instruction per lane group on every
+// target, without relying on the auto-vectorizer; -ffp-contract=off keeps
+// each multiply and add a separate rounding.
+using F32x4 = float __attribute__((vector_size(16)));
+constexpr std::size_t kConvLanes = 4;
+constexpr std::size_t kConvVecs = 2;
+constexpr std::size_t kConvTile = kConvLanes * kConvVecs;
+constexpr std::size_t kConvBlock = 4;
+
+inline F32x4 load4(const float* p) {
+  F32x4 v;
+  std::memcpy(&v, p, sizeof v);
+  return v;
+}
+
+inline void store4(float* p, F32x4 v) { std::memcpy(p, &v, sizeof v); }
+
+/// Direct convolution of output rows [oy0, oy1) for ROWS consecutive output
+/// channels, in the frozen order above.
+/// - `xp`: the group's first input plane, zero-framed (pad = k/2 on every
+///   side) with row stride `stride`; planes follow each other contiguously.
+/// - `off[k]`: offset of term k's input relative to the output pixel, i.e.
+///   ic * plane + ky * stride + kx.
+/// - `wb`: the block's weights, each broadcast to four lanes,
+///   [term][channel][lane].
+/// - `y`: output plane of the block's first channel; channel r is r * H * W
+///   further on. `bias` (ROWS values) may be null.
+/// Lanes past the row's end compute on the frame or the next row and are
+/// never stored.
+///
+/// Exported, never inlined and never cloned (GCC would otherwise emit a
+/// local `.isra` copy of conv_rows<1>): the sampling profiler names frames
+/// by exported symbol only, charging a sample in a local function to
+/// whichever exported symbol precedes it, and profiler_smoke greps its
+/// folded stacks for this name.
+template <std::size_t ROWS>
+[[gnu::noinline, gnu::noclone]] void conv_rows(
+    const float* xp, const std::size_t* off, std::size_t K,
+    std::size_t stride, const float* wb, const float* bias, float* y,
+    std::size_t H, std::size_t W, std::size_t oy0, std::size_t oy1) {
+  for (std::size_t oy = oy0; oy < oy1; ++oy) {
+    for (std::size_t ox = 0; ox < W; ox += kConvTile) {
+      const float* xt = xp + oy * stride + ox;
+      F32x4 c[ROWS][kConvVecs] = {};
+      for (std::size_t p0 = 0; p0 < K; p0 += kConvChunk) {
+        const std::size_t p1 = std::min(K, p0 + kConvChunk);
+        F32x4 acc[ROWS][kConvVecs] = {};
+        for (std::size_t p = p0; p < p1; ++p) {
+          const float* src = xt + off[p];
+          F32x4 xv[kConvVecs];
+          for (std::size_t v = 0; v < kConvVecs; ++v)
+            xv[v] = load4(src + v * kConvLanes);
+          const float* wp = wb + p * ROWS * kConvLanes;
+          for (std::size_t r = 0; r < ROWS; ++r) {
+            const F32x4 wv = load4(wp + r * kConvLanes);
+            for (std::size_t v = 0; v < kConvVecs; ++v)
+              acc[r][v] += wv * xv[v];
+          }
+        }
+        for (std::size_t r = 0; r < ROWS; ++r)
+          for (std::size_t v = 0; v < kConvVecs; ++v)
+            c[r][v] = p0 == 0 ? acc[r][v] : acc[r][v] + c[r][v];
+      }
+      const std::size_t n = std::min(kConvTile, W - ox);
+      for (std::size_t r = 0; r < ROWS; ++r) {
+        float out[kConvTile];
+        for (std::size_t v = 0; v < kConvVecs; ++v) {
+          F32x4 cv = c[r][v];
+          if (bias != nullptr) cv += F32x4{bias[r], bias[r], bias[r], bias[r]};
+          store4(out + v * kConvLanes, cv);
+        }
+        std::memcpy(y + r * H * W + oy * W + ox, out, n * sizeof(float));
+      }
+    }
+  }
+}
+
+}  // namespace detail
 
 namespace {
 
@@ -264,50 +357,102 @@ void attn_mlp_forward(const float* w1, const float* b1, const float* w2,
   }
 }
 
-/// Conv2D forward: one (image, group) GEMM block per task, bias in a second
-/// plane-parallel pass. Pointwise (k == 1) skips im2col — the input planes
-/// already are the column matrix.
+/// Conv2D forward. Copies each (image, channel) input plane once into a
+/// zero-framed buffer and broadcasts the weights once, then runs
+/// detail::conv_rows over tasks of (image, group, block of <= kConvBlock
+/// output channels, row band).
 void conv_forward(const float* x, const float* wts, const float* bias,
                   std::size_t B, std::size_t in_ch, std::size_t H,
                   std::size_t W, std::size_t out_ch, std::size_t k,
                   std::size_t groups, float* y) {
-  const std::size_t hw = H * W;
+  using detail::kConvBlock;
+  using detail::kConvLanes;
+  using detail::kConvTile;
   const std::size_t icg = in_ch / groups;
   const std::size_t ocg = out_ch / groups;
-  const std::size_t k2 = k * k;
+  const std::size_t K = icg * k * k;
+  const std::size_t pad = k / 2;
+  const std::size_t stride = ceil_div(W + 2 * pad, kConvTile) * kConvTile;
+  const std::size_t plane = (H + 2 * pad) * stride;
+  const std::size_t blocks = ceil_div(ocg, kConvBlock);
 
-  parallel_for_chunked(0, B * groups, 1, [&](std::size_t lo,
-                                             std::size_t hi) {
-    Workspace& ws = tls_workspace();
-    for (std::size_t task = lo; task < hi; ++task) {
-      const std::size_t b = task / groups;
-      const std::size_t g = task % groups;
-      const float* xg = x + (b * in_ch + g * icg) * hw;
-      float* yg = y + (b * out_ch + g * ocg) * hw;
-      const float* wg = wts + g * ocg * icg * k2;
-      if (k == 1) {
-        sgemm(false, false, ocg, hw, icg, 1.0f, wg, icg, xg, hw, 0.0f, yg,
-              hw);
-      } else {
-        const ScratchScope scope(ws);
-        float* col = ws.acquire(icg * k2 * hw);
-        im2col(xg, icg, H, W, k, col);
-        sgemm(false, false, ocg, hw, icg * k2, 1.0f, wg, icg * k2, col, hw,
-              0.0f, yg, hw);
+  Workspace& ws = tls_workspace();
+  const ScratchScope scope(ws);
+  // The last plane's ragged tiles read up to kConvTile - 1 floats past it.
+  float* xp = ws.acquire(B * in_ch * plane + kConvTile);
+  float* wb = ws.acquire(groups * blocks * K * kConvBlock * kConvLanes);
+  std::size_t* off = ws.acquire_as<std::size_t>(K);
+
+  parallel_for_chunked(0, B * in_ch, 0, [&](std::size_t lo, std::size_t hi) {
+    for (std::size_t bc = lo; bc < hi; ++bc) {
+      const float* src = x + bc * H * W;
+      float* dst = xp + bc * plane;
+      std::fill(dst, dst + pad * stride, 0.0f);
+      for (std::size_t iy = 0; iy < H; ++iy) {
+        float* row = dst + (pad + iy) * stride;
+        std::fill(row, row + pad, 0.0f);
+        std::memcpy(row + pad, src + iy * W, W * sizeof(float));
+        std::fill(row + pad + W, row + stride, 0.0f);
+      }
+      std::fill(dst + (pad + H) * stride, dst + plane, 0.0f);
+    }
+  });
+  std::fill(xp + B * in_ch * plane, xp + B * in_ch * plane + kConvTile, 0.0f);
+
+  for (std::size_t ic = 0, p = 0; ic < icg; ++ic)
+    for (std::size_t ky = 0; ky < k; ++ky)
+      for (std::size_t kx = 0; kx < k; ++kx)
+        off[p++] = ic * plane + ky * stride + kx;
+
+  // Block u = g * blocks + ob holds channels [ob * kConvBlock, + rows) of
+  // group g, stored [term][channel][lane] with `rows` channels per term.
+  const auto block_rows = [&](std::size_t ob) {
+    return std::min(kConvBlock, ocg - ob * kConvBlock);
+  };
+  for (std::size_t g = 0; g < groups; ++g)
+    for (std::size_t ob = 0; ob < blocks; ++ob) {
+      const std::size_t rows = block_rows(ob);
+      float* dst = wb + (g * blocks + ob) * K * kConvBlock * kConvLanes;
+      for (std::size_t p = 0; p < K; ++p)
+        for (std::size_t r = 0; r < rows; ++r) {
+          const float w = wts[(g * ocg + ob * kConvBlock + r) * K + p];
+          for (std::size_t l = 0; l < kConvLanes; ++l) *dst++ = w;
+        }
+    }
+
+  // One index per (image, group, block, output row); each parallel chunk
+  // splits into row bands that stay within one block.
+  const std::size_t units = B * groups * blocks;
+  parallel_for_chunked(0, units * H, 0, [&](std::size_t lo, std::size_t hi) {
+    for (std::size_t i = lo; i < hi;) {
+      const std::size_t u = i / H;
+      const std::size_t oy0 = i % H;
+      const std::size_t oy1 = std::min(H, oy0 + (hi - i));
+      i += oy1 - oy0;
+      const std::size_t b = u / (groups * blocks);
+      const std::size_t g = u / blocks % groups;
+      const std::size_t ob = u % blocks;
+      const std::size_t oc0 = g * ocg + ob * kConvBlock;
+      const float* xg = xp + (b * in_ch + g * icg) * plane;
+      const float* wu = wb + (g * blocks + ob) * K * kConvBlock * kConvLanes;
+      const float* bu = bias != nullptr ? bias + oc0 : nullptr;
+      float* yu = y + (b * out_ch + oc0) * H * W;
+      switch (block_rows(ob)) {
+        case 1:
+          detail::conv_rows<1>(xg, off, K, stride, wu, bu, yu, H, W, oy0, oy1);
+          break;
+        case 2:
+          detail::conv_rows<2>(xg, off, K, stride, wu, bu, yu, H, W, oy0, oy1);
+          break;
+        case 3:
+          detail::conv_rows<3>(xg, off, K, stride, wu, bu, yu, H, W, oy0, oy1);
+          break;
+        default:
+          detail::conv_rows<4>(xg, off, K, stride, wu, bu, yu, H, W, oy0, oy1);
+          break;
       }
     }
   });
-
-  if (bias != nullptr) {
-    parallel_for_chunked(0, B * out_ch, 0, [&](std::size_t lo,
-                                               std::size_t hi) {
-      for (std::size_t task = lo; task < hi; ++task) {
-        float* out = y + task * hw;
-        const float bv = bias[task % out_ch];
-        for (std::size_t i = 0; i < hw; ++i) out[i] += bv;
-      }
-    });
-  }
 }
 
 /// MatMul (Linear) forward: Y = X W^T, then serial per-row bias.

@@ -65,7 +65,7 @@ struct NodeRef {
 enum class Op : std::uint8_t {
   kInput,             ///< externally bound activation (bind() before forward)
   kParam,             ///< trainable parameter leaf
-  kConv2D,            ///< im2col+GEMM conv, odd k, "same" pad, groups; fused bias
+  kConv2D,            ///< direct conv, odd k, "same" pad, groups; fused bias
   kMatMul,            ///< x[B, in] * W^T[out, in] on flattened inputs; fused bias
   kBiasAdd,           ///< standalone per-channel bias
   kReLU,              ///< elementwise max(0, x)

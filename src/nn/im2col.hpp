@@ -2,13 +2,16 @@
 #define XFC_NN_IM2COL_HPP
 
 /// \file im2col.hpp
-/// Convolution lowering for stride-1, zero-"same"-padded 2-D convolution.
+/// Convolution lowering for the backward pass of stride-1,
+/// zero-"same"-padded 2-D convolution. The forward pass does not lower: it
+/// is a direct kernel (graph.cpp), and im2col and col2im serve only the
+/// backward pass (autodiff.cpp), plus test_gemm's reference for the
+/// forward pass the direct kernel replaced.
 ///
 /// im2col rewrites one (image, group) input block [icg][H][W] as a column
 /// matrix col[icg*k*k][H*W]: row (ic*k + ky)*k + kx holds, for each output
-/// pixel, the input value the (ky, kx) weight tap reads. Conv2D then
-/// becomes one GEMM per (image, group):
-///   forward        Y  = W    (ocg x icg*k*k) * col               (beta 0)
+/// pixel, the input value the (ky, kx) weight tap reads. The conv gradients
+/// then become one GEMM each per (image, group):
 ///   input grad     dC = W^T  (icg*k*k x ocg) * dY, then col2im   (beta 0)
 ///   weight grad    dW += dY  (ocg x H*W)     * col^T             (beta 1)
 ///

@@ -4,7 +4,7 @@
 /// \file workspace.hpp
 /// Per-thread scratch-buffer arena for the NN and codec hot paths.
 ///
-/// im2col buffers, GEMM packing panels, layer activations and per-tile
+/// Framed conv inputs, GEMM packing panels, layer activations and per-tile
 /// decode payloads are needed for microseconds at a time but allocated on
 /// every call; that malloc+zero traffic dominated small-batch NN profiles
 /// and the archive's per-tile decode setup. The arena hands out slab
@@ -18,7 +18,7 @@
 ///   float* buf = ws.acquire(n);      // valid until scope exit
 ///
 /// Each thread owns its arena (tls_workspace), so pool workers never
-/// contend; nested scopes (Sequential -> Conv2D -> sgemm) stack cleanly.
+/// contend; nested scopes (GraphExec -> conv forward) stack cleanly.
 
 #include <cstddef>
 #include <cstdint>
@@ -87,7 +87,10 @@ class ScratchScope {
 };
 
 /// The calling thread's arena.
-Workspace& tls_workspace();
+inline Workspace& tls_workspace() {
+  thread_local Workspace ws;
+  return ws;
+}
 
 }  // namespace xfc::nn
 

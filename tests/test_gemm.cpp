@@ -1,12 +1,16 @@
-// Cross-checks for the lowered NN compute core: blocked SGEMM vs the naive
-// reference, im2col against its index definition, and the graph's
-// conv/matmul ops (im2col+GEMM forward, derived backward via
-// GraphExec::backward_from) against the retained naive kernels — across odd
-// shapes, groups > 1, batch > 1, and k in {1,3,5}.
+// Cross-checks for the NN compute core: blocked SGEMM vs the naive
+// reference, im2col against its index definition, the graph's conv/matmul
+// ops (direct conv forward, derived backward via GraphExec::backward_from)
+// against the retained naive kernels — across odd shapes, groups > 1,
+// batch > 1, and k in {1,3,5} — and the direct conv forward bit for bit
+// against the im2col + sgemm forward pass it replaced.
 
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
+#include <cstring>
+#include <limits>
 #include <vector>
 
 #include "core/rng.hpp"
@@ -219,6 +223,160 @@ TEST(Conv2DGemm, BackwardMatchesNaiveReference) {
     for (std::size_t i = 0; i < gb_ref.size(); ++i)
       expect_near_rel((*params[1].grad)[i], gb_ref[i], "conv dB", i);
   }
+}
+
+// --------------------------------------------- frozen conv arithmetic ----
+//
+// The decoder replays the encoder's CFNN bit for bit, so the direct conv
+// kernel must reproduce the forward pass archives were written with: one
+// im2col + sgemm per (image, group) — K = icg*k*k terms per output, summed
+// in KC = 240 chunks — and then the bias in a separate pass. The reference
+// below rebuilds that pass from the library's im2col and sgemm.
+
+std::vector<float> im2col_sgemm_forward(const ConvCase& cc,
+                                        const std::vector<float>& x,
+                                        const std::vector<float>& w,
+                                        const std::vector<float>* bias) {
+  const std::size_t hw = cc.h * cc.w;
+  const std::size_t icg = cc.in_ch / cc.groups;
+  const std::size_t ocg = cc.out_ch / cc.groups;
+  const std::size_t K = icg * cc.k * cc.k;
+  std::vector<float> y(cc.batch * cc.out_ch * hw);
+  std::vector<float> col(K * hw);
+  for (std::size_t b = 0; b < cc.batch; ++b)
+    for (std::size_t g = 0; g < cc.groups; ++g) {
+      im2col(x.data() + (b * cc.in_ch + g * icg) * hw, icg, cc.h, cc.w, cc.k,
+             col.data());
+      sgemm(false, false, ocg, hw, K, 1.0f, w.data() + g * ocg * K, K,
+            col.data(), hw, 0.0f, y.data() + (b * cc.out_ch + g * ocg) * hw,
+            hw);
+    }
+  if (bias != nullptr)
+    for (std::size_t b = 0; b < cc.batch; ++b)
+      for (std::size_t oc = 0; oc < cc.out_ch; ++oc)
+        for (std::size_t i = 0; i < hw; ++i)
+          y[(b * cc.out_ch + oc) * hw + i] += (*bias)[oc];
+  return y;
+}
+
+std::vector<float> graph_conv_forward(const ConvCase& cc, Graph::Mode mode,
+                                      const std::vector<float>& x,
+                                      std::vector<float>& w,
+                                      std::vector<float>* bias) {
+  Graph g(mode);
+  const NodeRef in = g.input({cc.batch, cc.in_ch, cc.h, cc.w});
+  const NodeRef wn =
+      g.param(w, {cc.out_ch, cc.in_ch / cc.groups, cc.k, cc.k});
+  const NodeRef bn =
+      bias != nullptr ? g.param(*bias, {1, cc.out_ch, 1, 1}) : NodeRef{};
+  const NodeRef out = g.conv2d(in, wn, cc.out_ch, cc.k, cc.groups, bn);
+  GraphExec exec(g, tls_workspace());
+  exec.bind(in, x.data());
+  exec.forward();
+  const float* y = exec.value(out);
+  return std::vector<float>(y, y + g.shape(out).size());
+}
+
+/// Bit patterns must match; any NaN matches any NaN.
+void expect_same_bits(const std::vector<float>& got,
+                      const std::vector<float>& want, const char* what) {
+  ASSERT_EQ(got.size(), want.size()) << what;
+  std::size_t mismatches = 0;
+  for (std::size_t i = 0; i < want.size(); ++i) {
+    if (std::isnan(got[i]) && std::isnan(want[i])) continue;
+    std::uint32_t gb = 0, wb = 0;
+    std::memcpy(&gb, &got[i], sizeof gb);
+    std::memcpy(&wb, &want[i], sizeof wb);
+    if (gb != wb && ++mismatches <= 5)
+      ADD_FAILURE() << what << ": flat index " << i << " got " << got[i]
+                    << " (0x" << std::hex << gb << ") want " << want[i]
+                    << " (0x" << wb << std::dec << ")";
+  }
+  EXPECT_EQ(mismatches, 0u) << what;
+}
+
+const ConvCase kFrozenConvCases[] = {
+    {1, 24, 2, 3, 1, 9, 13},     // K = 216: the CFNN's final conv, one chunk
+    {2, 240, 5, 1, 1, 3, 11},    // K = 240 exactly, pointwise, ragged block
+    {1, 27, 6, 3, 1, 5, 17},     // K = 243: three terms into chunk two
+    {1, 10, 3, 5, 1, 6, 9},      // K = 250 at k = 5
+    {1, 40, 4, 3, 1, 4, 21},     // K = 360
+    {2, 120, 3, 3, 1, 3, 10},    // K = 1080: five chunks, batch > 1
+    {2, 9, 6, 3, 3, 7, 12},      // groups = 3
+    {1, 10, 15, 5, 5, 6, 8},     // groups = 5, k = 5, 3 channels per group
+    {3, 24, 24, 3, 24, 5, 19},   // depthwise
+    {1, 4, 4, 5, 4, 2, 2},       // depthwise k = 5 on a 2x2 plane
+    {2, 3, 7, 5, 1, 1, 1},       // 1x1 plane at k = 5
+    {1, 2, 3, 5, 1, 4, 1},       // plane narrower than the pad
+    {1, 6, 9, 1, 3, 4, 4},       // grouped pointwise
+    {16, 5, 8, 3, 1, 4, 6},      // batch 16
+    {1, 3, 10, 3, 1, 2, 33},     // blocks of 4, 4 and 2; ragged last tile
+};
+
+TEST(ConvDirect, BitEqualToIm2colSgemmForward) {
+  for (const ConvCase& cc : kFrozenConvCases) {
+    Rng rng(500 + cc.in_ch * 7 + cc.out_ch + cc.k + cc.w);
+    const std::size_t nw = cc.out_ch * (cc.in_ch / cc.groups) * cc.k * cc.k;
+    const std::vector<float> x =
+        random_vec(cc.batch * cc.in_ch * cc.h * cc.w, rng);
+    std::vector<float> w = random_vec(nw, rng, 0.3);
+    std::vector<float> bias = random_vec(cc.out_ch, rng);
+    for (Graph::Mode mode : {Graph::Mode::kInfer, Graph::Mode::kTrain})
+      for (std::vector<float>* b : {&bias, static_cast<std::vector<float>*>(
+                                               nullptr)})
+        expect_same_bits(graph_conv_forward(cc, mode, x, w, b),
+                         im2col_sgemm_forward(cc, x, w, b),
+                         b != nullptr ? "conv + bias" : "conv");
+  }
+}
+
+TEST(ConvDirect, BitEqualWithNonFiniteAndSignedZeroValues) {
+  // NaN, +-Inf and -0 inputs under finite weights, then Inf and NaN weights
+  // under finite inputs. A non-finite weight times a padding zero is NaN,
+  // so the frame's terms must be summed like any other.
+  const float inf = std::numeric_limits<float>::infinity();
+  const float nan = std::numeric_limits<float>::quiet_NaN();
+  const float specials[] = {nan, inf, -inf, -0.0f};
+  for (const ConvCase& cc : kFrozenConvCases) {
+    Rng rng(900 + cc.in_ch * 7 + cc.out_ch + cc.k + cc.w);
+    const std::size_t nx = cc.batch * cc.in_ch * cc.h * cc.w;
+    const std::size_t nw = cc.out_ch * (cc.in_ch / cc.groups) * cc.k * cc.k;
+    const std::vector<float> x = random_vec(nx, rng);
+    std::vector<float> w = random_vec(nw, rng, 0.3);
+    std::vector<float> bias = random_vec(cc.out_ch, rng);
+    bias[0] = -0.0f;
+
+    std::vector<float> xs = x;
+    for (std::size_t i = rng.uniform_index(nx); i < nx;
+         i += 1 + rng.uniform_index(nx / 4 + 1))
+      xs[i] = specials[rng.uniform_index(4)];
+    std::vector<float> ws = w;
+    ws[rng.uniform_index(nw)] = inf;
+    ws[rng.uniform_index(nw)] = -inf;
+    ws[rng.uniform_index(nw)] = nan;
+
+    for (std::vector<float>* b : {&bias, static_cast<std::vector<float>*>(
+                                             nullptr)}) {
+      expect_same_bits(graph_conv_forward(cc, Graph::Mode::kInfer, xs, w, b),
+                       im2col_sgemm_forward(cc, xs, w, b),
+                       "non-finite inputs");
+      expect_same_bits(graph_conv_forward(cc, Graph::Mode::kInfer, x, ws, b),
+                       im2col_sgemm_forward(cc, x, ws, b),
+                       "non-finite weights");
+    }
+  }
+}
+
+TEST(ConvDirect, NegativeZeroProductsSumToPositiveZero) {
+  // Every chunk starts from +0.0f, so an output whose products are all -0
+  // is +0, not -0.
+  const ConvCase cc{1, 3, 2, 3, 1, 4, 9};
+  const std::vector<float> x(cc.in_ch * cc.h * cc.w, -0.0f);
+  std::vector<float> w(cc.out_ch * cc.in_ch * cc.k * cc.k, 0.5f);
+  const std::vector<float> got =
+      graph_conv_forward(cc, Graph::Mode::kInfer, x, w, nullptr);
+  expect_same_bits(got, im2col_sgemm_forward(cc, x, w, nullptr), "-0 conv");
+  for (float v : got) EXPECT_FALSE(std::signbit(v));
 }
 
 TEST(LinearGemm, ForwardBackwardMatchNaiveReference) {

@@ -95,13 +95,15 @@ TEST(Golden, CrossFieldArchiveFromBeforeThisPrDecodesBitIdentically) {
 
 /// CRC of a deterministic CfnnModel::infer run — every output bit counts,
 /// unlike the archive pin above, which only sees inference drift large
-/// enough to shift a quantization decision. Pinned at the graph-port PR,
-/// whose archive test proved graph inference replays the pre-port
-/// arithmetic; frozen from then on.
-std::uint32_t cfnn_infer_crc() {
+/// enough to shift a quantization decision. The model is
+/// CfnnModel(in_ch, out_ch, config, 0xF00D); the (n, in_ch, h, w) input is
+/// drawn from Rng(0x901D).
+std::uint32_t infer_crc(std::size_t in_ch, std::size_t out_ch,
+                        const CfnnConfig& config, std::size_t n,
+                        std::size_t h, std::size_t w) {
   Rng rng(0x901D);
-  const CfnnModel model(3, 2, CfnnConfig{8, 4, 3}, 0xF00D);
-  nn::Tensor x(2, 3, 48, 48);
+  const CfnnModel model(in_ch, out_ch, config, 0xF00D);
+  nn::Tensor x(n, in_ch, h, w);
   for (auto& v : x.vec()) v = static_cast<float>(rng.normal());
   const nn::Tensor y = model.infer(x);
   return Crc32::of(std::span<const std::uint8_t>(
@@ -109,10 +111,30 @@ std::uint32_t cfnn_infer_crc() {
       y.size() * sizeof(float)));
 }
 
+/// Pinned when inference moved onto the computation graph, whose archive
+/// test proved graph inference replays the pre-graph arithmetic; frozen
+/// from then on.
+std::uint32_t cfnn_infer_crc() {
+  return infer_crc(3, 2, CfnnConfig{8, 4, 3}, 2, 48, 48);
+}
+
 constexpr std::uint32_t kCfnnInferCrc = 0x23ee6b3fu;
 
 TEST(Golden, CfnnInferenceBitsPinned) {
   EXPECT_EQ(cfnn_infer_crc(), kCfnnInferCrc);
+}
+
+// The pin above and the cross-field golden archive use hidden width 8, so
+// no conv there sums more than 72 terms. These two widen the final conv
+// past the KC = 240 chunk of the frozen summation order (K = 40*9 = 360
+// and 120*9 = 1080 terms), so a kernel that sums each output in one chunk
+// fails them. Both CRCs were taken from the im2col + sgemm forward pass.
+TEST(Golden, CfnnInferenceBitsPinnedAcrossOneChunkBoundary) {
+  EXPECT_EQ(infer_crc(6, 2, CfnnConfig{40, 10, 3}, 1, 40, 56), 0x2df2de1au);
+}
+
+TEST(Golden, CfnnInferenceBitsPinnedAcrossFourChunks) {
+  EXPECT_EQ(infer_crc(9, 3, CfnnConfig{120, 8, 3}, 2, 24, 20), 0xaf557c69u);
 }
 
 TEST(Golden, InferPinCatchesAttentionSummationOrderChange) {
