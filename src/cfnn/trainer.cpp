@@ -73,8 +73,8 @@ std::vector<double> train_cfnn(CfnnModel& model, const nn::Tensor& inputs,
   // One training graph + executor for the whole run: the batch staging
   // tensors are bound once and overwritten in place, so the steady-state
   // loop (fill patches, forward, backward, Adam step) never allocates —
-  // every activation, gradient and GEMM scratch lives in the arena slabs
-  // acquired here.
+  // activations and gradients live in the arena slabs acquired here, and
+  // the kernels' scratch in slabs that stop growing after the first step.
   nn::Tensor x(options.batch, cin, P, P);
   nn::Tensor t(options.batch, cout, P, P);
   nn::Graph graph(nn::Graph::Mode::kTrain);
@@ -125,8 +125,7 @@ std::vector<double> train_cfnn(CfnnModel& model, const nn::Tensor& inputs,
       model.output_norm().apply(t);
 
       {
-        // Timing only — the step's arithmetic (and with it the frozen
-        // training trajectory test_golden pins) is untouched.
+        // Timing only: the span does not touch the step's arithmetic.
         const obs::SpanScope span_step("train_step", &obs::train_step_us());
         graph.zero_grad();
         exec.forward();

@@ -5,18 +5,15 @@
 #include <cstring>
 
 #include "core/utils.hpp"
-#include "nn/gemm.hpp"
-#include "nn/im2col.hpp"
 #include "nn/layers.hpp"
 
 namespace xfc::nn {
 
 // ---------------------------------------------------- backward kernels ----
 //
-// Verbatim ports of the pre-graph hand-written Layer::backward bodies. The
-// thread-count-determinism contract from graph.hpp applies throughout:
+// The thread-count-determinism contract from graph.hpp applies throughout:
 // parallel loops write disjoint regions, and every cross-image reduction
-// into a parameter gradient happens serially in image order.
+// into a parameter gradient happens in one thread, in image order.
 
 namespace {
 
@@ -55,63 +52,98 @@ void bias_add_backward(const float* go, std::size_t B, std::size_t C,
   }
 }
 
-void matmul_backward(const float* x, const float* wts, const float* go,
-                     std::size_t B, std::size_t in, std::size_t out,
-                     bool first, float* gx, float* gw, float* gb) {
-  if (gx != nullptr)
-    sgemm(false, false, B, in, out, 1.0f, go, out, wts, in,
-          first ? 0.0f : 1.0f, gx, in);
-  if (gw != nullptr)
-    sgemm(true, false, out, in, B, 1.0f, go, out, x, in, 1.0f, gw, in);
-  if (gb != nullptr)
-    for (std::size_t b = 0; b < B; ++b)
-      for (std::size_t o = 0; o < out; ++o) gb[o] += go[b * out + o];
+// Conv weight-gradient register tile: four-lane vectors, as in graph.cpp's
+// conv_rows (training arithmetic is not frozen, but it is deterministic).
+using F32x4 = float __attribute__((vector_size(16)));
+
+inline F32x4 load4(const float* p) {
+  F32x4 v;
+  std::memcpy(&v, p, sizeof v);
+  return v;
 }
 
-/// One (image, group) block of the conv backward: data gradient via the
-/// transposed GEMM (+ col2im for k > 1), weight gradient into the caller's
-/// per-image accumulator.
-void conv_backward_block(const float* x, const float* wts, const float* go,
-                         std::size_t in_ch, std::size_t H, std::size_t W,
-                         std::size_t out_ch, std::size_t k,
-                         std::size_t groups, std::size_t b, std::size_t g,
-                         float* gx, float* gw_base) {
+constexpr std::size_t kWgradBlock = 4;  // output channels per task
+
+/// Weight gradient of output channels [oc, oc + ROWS) of one group against
+/// one of the group's input channels:
+///   gw[r][ky][kx] += sum over images b of
+///     sum over (oy, ox) of go[b][oc + r][oy][ox] * x[b][ic][iy][ix],
+/// iy = oy + ky - pad, ix = ox + kx - pad, padding terms skipped.
+/// - `x`, `go`: the input plane and the first output-gradient plane of
+///   image 0; images are `x_img` and `go_img` floats apart, and channel r's
+///   plane is r * H * W after the first.
+/// - `gw`: the first channel's k*k weights; channel r's are r * gw_row on.
+/// One image's sum runs over rows, then over 8-, 4- and 1-wide steps of the
+/// row's in-plane span, and is added to the running total before the next
+/// image: the order depends only on the shapes, never on XFC_THREADS.
+template <std::size_t ROWS>
+void conv_wgrad_rows(const float* x, const float* go, std::size_t B,
+                     std::size_t x_img, std::size_t go_img, std::size_t H,
+                     std::size_t W, std::size_t k, float* gw,
+                     std::size_t gw_row) {
+  const std::size_t pad = k / 2;
   const std::size_t hw = H * W;
-  const std::size_t icg = in_ch / groups;
-  const std::size_t ocg = out_ch / groups;
-  const std::size_t k2 = k * k;
-  const float* xg = x + (b * in_ch + g * icg) * hw;
-  const float* gog = go + (b * out_ch + g * ocg) * hw;
-  const float* wg = wts + g * ocg * icg * k2;
-  float* gxg = gx != nullptr ? gx + (b * in_ch + g * icg) * hw : nullptr;
-  float* gwg = gw_base != nullptr ? gw_base + g * ocg * icg * k2 : nullptr;
-
-  if (k == 1) {
-    if (gxg != nullptr)
-      sgemm(true, false, icg, hw, ocg, 1.0f, wg, icg, gog, hw, 0.0f, gxg,
-            hw);
-    if (gwg != nullptr)
-      sgemm(false, true, ocg, icg, hw, 1.0f, gog, hw, xg, hw, 1.0f, gwg,
-            icg);
-    return;
-  }
-
-  Workspace& ws = tls_workspace();
-  const ScratchScope scope(ws);
-  if (gxg != nullptr) {
-    float* dcol = ws.acquire(icg * k2 * hw);
-    sgemm(true, false, icg * k2, hw, ocg, 1.0f, wg, icg * k2, gog, hw, 0.0f,
-          dcol, hw);
-    col2im(dcol, icg, H, W, k, gxg);  // accumulates into pre-zeroed gxg
-  }
-  if (gwg != nullptr) {
-    float* col = ws.acquire(icg * k2 * hw);
-    im2col(xg, icg, H, W, k, col);
-    sgemm(false, true, ocg, icg * k2, hw, 1.0f, gog, hw, col, hw, 1.0f, gwg,
-          icg * k2);
+  // Output positions [lo, hi) along an axis of length n whose input
+  // position o + t - pad lies inside the plane.
+  const auto span = [pad](std::size_t n, std::size_t t, std::size_t& lo,
+                          std::size_t& hi) {
+    lo = t < pad ? std::min(pad - t, n) : 0;
+    hi = t > pad ? (t - pad < n ? n - (t - pad) : 0) : n;
+    hi = std::max(lo, hi);
+  };
+  for (std::size_t ky = 0; ky < k; ++ky) {
+    std::size_t oy0 = 0, oy1 = 0;
+    span(H, ky, oy0, oy1);
+    for (std::size_t kx = 0; kx < k; ++kx) {
+      std::size_t ox0 = 0, ox1 = 0;
+      span(W, kx, ox0, ox1);
+      const std::size_t n = ox1 - ox0;
+      float total[ROWS] = {};
+      for (std::size_t b = 0; b < B; ++b) {
+        F32x4 acc[ROWS][2] = {};
+        float tail[ROWS] = {};
+        for (std::size_t oy = oy0; oy < oy1; ++oy) {
+          const float* xs = x + b * x_img + (oy + ky - pad) * W + ox0 + kx -
+                            pad;
+          const float* gs = go + b * go_img + oy * W + ox0;
+          std::size_t i = 0;
+          for (; i + 8 <= n; i += 8) {
+            const F32x4 x0 = load4(xs + i);
+            const F32x4 x1 = load4(xs + i + 4);
+            for (std::size_t r = 0; r < ROWS; ++r) {
+              acc[r][0] += load4(gs + r * hw + i) * x0;
+              acc[r][1] += load4(gs + r * hw + i + 4) * x1;
+            }
+          }
+          if (i + 4 <= n) {
+            const F32x4 x0 = load4(xs + i);
+            for (std::size_t r = 0; r < ROWS; ++r)
+              acc[r][0] += load4(gs + r * hw + i) * x0;
+            i += 4;
+          }
+          for (; i < n; ++i)
+            for (std::size_t r = 0; r < ROWS; ++r)
+              tail[r] += gs[r * hw + i] * xs[i];
+        }
+        for (std::size_t r = 0; r < ROWS; ++r) {
+          const F32x4 s = acc[r][0] + acc[r][1];
+          total[r] += ((s[0] + s[1]) + (s[2] + s[3])) + tail[r];
+        }
+      }
+      for (std::size_t r = 0; r < ROWS; ++r)
+        gw[r * gw_row + ky * k + kx] += total[r];
+    }
   }
 }
 
+/// Conv2D backward.
+/// - Data gradient: the transposed convolution, which is detail::conv_forward
+///   on the output gradient with each group's weights transposed (in <-> out)
+///   and flipped. The first writer of gx convolves into it; a later one
+///   convolves into scratch and adds.
+/// - Weight gradient: conv_wgrad_rows over tasks of (group, block of
+///   <= kWgradBlock output channels, input channel), disjoint weight slices.
+/// - Bias gradient: per channel, one double sum over images in order.
 void conv_backward(const float* x, const float* wts, const float* go,
                    std::size_t B, std::size_t in_ch, std::size_t H,
                    std::size_t W, std::size_t out_ch, std::size_t k,
@@ -119,52 +151,57 @@ void conv_backward(const float* x, const float* wts, const float* go,
                    float* gw, float* gb) {
   const std::size_t hw = H * W;
   const std::size_t icg = in_ch / groups;
+  const std::size_t ocg = out_ch / groups;
   const std::size_t k2 = k * k;
-  const std::size_t wsize = out_ch * icg * k2;
 
-  // col2im scatter-adds, so the data-gradient planes must start zeroed on
-  // the first write of this sweep (later writers accumulate on top).
-  if (gx != nullptr && k > 1 && first)
-    std::fill(gx, gx + B * in_ch * hw, 0.0f);
+  if (gx != nullptr) {
+    const ScratchScope scope(ws);
+    // wt[g * icg + ic][oc][ky][kx] = w[g * ocg + oc][ic][k-1-ky][k-1-kx]
+    float* wt = ws.acquire(out_ch * icg * k2);
+    for (std::size_t g = 0; g < groups; ++g)
+      for (std::size_t ic = 0; ic < icg; ++ic)
+        for (std::size_t oc = 0; oc < ocg; ++oc) {
+          const float* src = wts + ((g * ocg + oc) * icg + ic) * k2;
+          float* dst = wt + ((g * icg + ic) * ocg + oc) * k2;
+          for (std::size_t t = 0; t < k2; ++t) dst[t] = src[k2 - 1 - t];
+        }
+    const std::size_t n = B * in_ch * hw;
+    float* dst = first ? gx : ws.acquire(n);
+    detail::conv_forward(go, wt, nullptr, B, out_ch, H, W, in_ch, k, groups,
+                         dst);
+    if (!first)
+      for (std::size_t i = 0; i < n; ++i) gx[i] += dst[i];
+  }
 
   if (gw != nullptr) {
-    const ScratchScope scope(ws);
-    if (B == 1) {
-      // Single image: one accumulator, group-parallel (groups touch
-      // disjoint weight slices).
-      float* acc = ws.acquire(wsize);
-      std::fill(acc, acc + wsize, 0.0f);
-      parallel_for_chunked(0, groups, 1, [&](std::size_t lo,
-                                             std::size_t hi) {
-        for (std::size_t g = lo; g < hi; ++g)
-          conv_backward_block(x, wts, go, in_ch, H, W, out_ch, k, groups, 0,
-                              g, gx, acc);
-      });
-      for (std::size_t i = 0; i < wsize; ++i) gw[i] += acc[i];
-    } else {
-      // Per-image accumulators, reduced serially in image order so the
-      // weight gradient is independent of XFC_THREADS.
-      float* acc_all = ws.acquire(B * wsize);
-      parallel_for_chunked(0, B, 1, [&](std::size_t lo, std::size_t hi) {
-        for (std::size_t b = lo; b < hi; ++b) {
-          float* acc = acc_all + b * wsize;
-          std::fill(acc, acc + wsize, 0.0f);
-          for (std::size_t g = 0; g < groups; ++g)
-            conv_backward_block(x, wts, go, in_ch, H, W, out_ch, k, groups,
-                                b, g, gx, acc);
+    const std::size_t blocks = ceil_div(ocg, kWgradBlock);
+    const std::size_t x_img = in_ch * hw, go_img = out_ch * hw;
+    const std::size_t gw_row = icg * k2;
+    parallel_for_chunked(0, groups * blocks * icg, 1, [&](std::size_t lo,
+                                                          std::size_t hi) {
+      for (std::size_t task = lo; task < hi; ++task) {
+        const std::size_t g = task / (blocks * icg);
+        const std::size_t ob = task / icg % blocks;
+        const std::size_t ic = task % icg;
+        const std::size_t oc = g * ocg + ob * kWgradBlock;
+        const float* xc = x + (g * icg + ic) * hw;
+        const float* goc = go + oc * hw;
+        float* gwc = gw + (oc * icg + ic) * k2;
+        switch (std::min(kWgradBlock, ocg - ob * kWgradBlock)) {
+          case 1:
+            conv_wgrad_rows<1>(xc, goc, B, x_img, go_img, H, W, k, gwc, gw_row);
+            break;
+          case 2:
+            conv_wgrad_rows<2>(xc, goc, B, x_img, go_img, H, W, k, gwc, gw_row);
+            break;
+          case 3:
+            conv_wgrad_rows<3>(xc, goc, B, x_img, go_img, H, W, k, gwc, gw_row);
+            break;
+          default:
+            conv_wgrad_rows<4>(xc, goc, B, x_img, go_img, H, W, k, gwc, gw_row);
+            break;
         }
-      });
-      for (std::size_t b = 0; b < B; ++b) {
-        const float* acc = acc_all + b * wsize;
-        for (std::size_t i = 0; i < wsize; ++i) gw[i] += acc[i];
       }
-    }
-  } else if (gx != nullptr) {
-    parallel_for_chunked(0, B * groups, 1, [&](std::size_t lo,
-                                               std::size_t hi) {
-      for (std::size_t task = lo; task < hi; ++task)
-        conv_backward_block(x, wts, go, in_ch, H, W, out_ch, k, groups,
-                            task / groups, task % groups, gx, nullptr);
     });
   }
 
@@ -354,10 +391,6 @@ void GraphExec::backprop(std::size_t i) {
                     in_grd(1), in_grd(2));
       break;
     }
-    case Op::kMatMul:
-      matmul_backward(in_val(0), in_val(1), go, nd.shape.n, nd.a0, nd.a1,
-                      first(0), in_grd(0), in_grd(1), in_grd(2));
-      break;
     case Op::kBiasAdd: {
       const GShape& xs = g_.nodes_[in_id(0)].shape;
       bias_add_backward(go, xs.n, xs.c, xs.h * xs.w, first(0), in_grd(0),

@@ -9,8 +9,9 @@
 /// out_channels is a depthwise convolution; kernel 1x1 with groups == 1 is
 /// a pointwise convolution — together these are the building blocks of the
 /// paper's depthwise-separable CFNN stage (Fig. 4). Execution is the
-/// graph's kConv2D op: a direct kernel forward (graph.cpp), im2col + GEMM
-/// backward (autodiff.cpp).
+/// graph's kConv2D op on direct kernels: the forward pass in graph.cpp; the
+/// backward pass in autodiff.cpp, whose data gradient is the same forward
+/// kernel run on the output gradient with transposed, flipped weights.
 
 #include <memory>
 

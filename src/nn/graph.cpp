@@ -5,7 +5,6 @@
 #include <cstring>
 
 #include "core/utils.hpp"
-#include "nn/gemm.hpp"
 
 namespace xfc::nn {
 
@@ -74,33 +73,6 @@ NodeRef Graph::conv2d(NodeRef x, NodeRef w, std::size_t out_channels,
     const Node& bn = at(bias);
     expects(bn.shape.size() == out_channels,
             "Graph::conv2d: bias size mismatch");
-    n.in[2] = bias.id;
-    n.needs_grad = n.needs_grad || bn.needs_grad;
-  }
-  return push(n);
-}
-
-NodeRef Graph::matmul(NodeRef x, NodeRef w, std::size_t out_features,
-                      NodeRef bias) {
-  const Node& xn = at(x);
-  const Node& wn = at(w);
-  const std::size_t in_features = xn.shape.c * xn.shape.h * xn.shape.w;
-  expects(in_features > 0 && out_features > 0,
-          "Graph::matmul: zero-sized layer");
-  expects(wn.shape.size() == in_features * out_features,
-          "Graph::matmul: weight size mismatch");
-  Node n;
-  n.op = Op::kMatMul;
-  n.shape = {xn.shape.n, out_features, 1, 1};
-  n.in[0] = x.id;
-  n.in[1] = w.id;
-  n.a0 = in_features;
-  n.a1 = out_features;
-  n.needs_grad = xn.needs_grad || wn.needs_grad;
-  if (bias.valid()) {
-    const Node& bn = at(bias);
-    expects(bn.shape.size() == out_features,
-            "Graph::matmul: bias size mismatch");
     n.in[2] = bias.id;
     n.needs_grad = n.needs_grad || bn.needs_grad;
   }
@@ -357,14 +329,15 @@ void attn_mlp_forward(const float* w1, const float* b1, const float* w2,
   }
 }
 
-/// Conv2D forward. Copies each (image, channel) input plane once into a
-/// zero-framed buffer and broadcasts the weights once, then runs
-/// detail::conv_rows over tasks of (image, group, block of <= kConvBlock
-/// output channels, row band).
-void conv_forward(const float* x, const float* wts, const float* bias,
-                  std::size_t B, std::size_t in_ch, std::size_t H,
-                  std::size_t W, std::size_t out_ch, std::size_t k,
-                  std::size_t groups, float* y) {
+}  // namespace
+
+/// Copies each (image, channel) input plane once into a zero-framed buffer
+/// and broadcasts the weights once, then runs detail::conv_rows over tasks
+/// of (image, group, block of <= kConvBlock output channels, row band).
+void detail::conv_forward(const float* x, const float* wts,
+                          const float* bias, std::size_t B, std::size_t in_ch,
+                          std::size_t H, std::size_t W, std::size_t out_ch,
+                          std::size_t k, std::size_t groups, float* y) {
   using detail::kConvBlock;
   using detail::kConvLanes;
   using detail::kConvTile;
@@ -455,18 +428,7 @@ void conv_forward(const float* x, const float* wts, const float* bias,
   });
 }
 
-/// MatMul (Linear) forward: Y = X W^T, then serial per-row bias.
-void matmul_forward(const float* x, const float* wts, const float* bias,
-                    std::size_t B, std::size_t in, std::size_t out,
-                    float* y) {
-  sgemm(false, true, B, out, in, 1.0f, x, in, wts, in, 0.0f, y, out);
-  if (bias != nullptr) {
-    for (std::size_t b = 0; b < B; ++b) {
-      float* yo = y + b * out;
-      for (std::size_t o = 0; o < out; ++o) yo[o] += bias[o];
-    }
-  }
-}
+namespace {
 
 void bias_add_forward(const float* x, const float* bias, std::size_t B,
                       std::size_t C, std::size_t hw, float* y) {
@@ -654,16 +616,11 @@ void GraphExec::eval(std::size_t i) {
       break;
     case Op::kConv2D: {
       const GShape& xs = in_shape(0);
-      conv_forward(in_val(0), in_val(1),
-                   nd.in[2] >= 0 ? in_val(2) : nullptr, xs.n, xs.c, xs.h,
-                   xs.w, nd.shape.c, nd.a0, nd.a1, buf_[i]);
+      detail::conv_forward(in_val(0), in_val(1),
+                           nd.in[2] >= 0 ? in_val(2) : nullptr, xs.n, xs.c,
+                           xs.h, xs.w, nd.shape.c, nd.a0, nd.a1, buf_[i]);
       break;
     }
-    case Op::kMatMul:
-      matmul_forward(in_val(0), in_val(1),
-                     nd.in[2] >= 0 ? in_val(2) : nullptr, nd.shape.n, nd.a0,
-                     nd.a1, buf_[i]);
-      break;
     case Op::kBiasAdd: {
       const GShape& xs = in_shape(0);
       bias_add_forward(in_val(0), in_val(1), xs.n, xs.c, xs.h * xs.w,

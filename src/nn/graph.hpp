@@ -26,8 +26,8 @@
 ///     predictions bit-exactly (pinned by test_golden's cross-field
 ///     archive). Do not "optimise" reduction orders here.
 ///  2. Thread-count determinism. Parallel kernels only partition work whose
-///     reduction order is fixed (disjoint output planes, per-image
-///     weight-gradient accumulators reduced serially in image order), so
+///     reduction order is fixed (disjoint output planes; each weight
+///     gradient summed by one thread over the images in order), so
 ///     forward, backward and therefore trained model bytes are independent
 ///     of XFC_THREADS.
 
@@ -66,7 +66,6 @@ enum class Op : std::uint8_t {
   kInput,             ///< externally bound activation (bind() before forward)
   kParam,             ///< trainable parameter leaf
   kConv2D,            ///< direct conv, odd k, "same" pad, groups; fused bias
-  kMatMul,            ///< x[B, in] * W^T[out, in] on flattened inputs; fused bias
   kBiasAdd,           ///< standalone per-channel bias
   kReLU,              ///< elementwise max(0, x)
   kChannelAttention,  ///< CBAM pooling + shared MLP + sigmoid rescale composite
@@ -77,8 +76,8 @@ struct Node {
   Op op = Op::kInput;
   GShape shape;
   std::int32_t in[5] = {-1, -1, -1, -1, -1};  ///< input node ids
-  std::size_t a0 = 0, a1 = 0;  ///< op attrs (conv: kernel, groups; matmul:
-                               ///< in_features, out_features; attn: reduction)
+  std::size_t a0 = 0, a1 = 0;  ///< op attrs (conv: kernel, groups;
+                               ///< attn: reduction)
   bool needs_grad = false;     ///< on a path from a trainable param
   std::size_t aux_floats = 0, aux_ints = 0;  ///< per-exec op scratch
   std::vector<float>* value = nullptr;       ///< kParam only: weight storage
@@ -112,11 +111,6 @@ class Graph {
   /// Weight layout [out_ch][in_ch/groups][k][k]; optional fused bias.
   NodeRef conv2d(NodeRef x, NodeRef w, std::size_t out_channels,
                  std::size_t kernel, std::size_t groups, NodeRef bias = {});
-
-  /// Fully connected on flattened (N, C*H*W) inputs; weight [out][in];
-  /// optional fused bias. Output shape (N, out, 1, 1).
-  NodeRef matmul(NodeRef x, NodeRef w, std::size_t out_features,
-                 NodeRef bias = {});
 
   /// Standalone per-channel bias (b has x.c entries).
   NodeRef bias_add(NodeRef x, NodeRef b);
@@ -228,6 +222,15 @@ class GraphExec {
 };
 
 namespace detail {
+
+/// Direct conv forward over NCHW x: odd k, stride 1, zero "same" padding,
+/// `groups` groups, weights [out_ch][in_ch/groups][k][k], bias optional.
+/// Each output is summed in the frozen order of graph.cpp's conv_rows. The
+/// conv backward (autodiff.cpp) runs its data gradient through it too.
+void conv_forward(const float* x, const float* wts, const float* bias,
+                  std::size_t B, std::size_t in_ch, std::size_t H,
+                  std::size_t W, std::size_t out_ch, std::size_t k,
+                  std::size_t groups, float* y);
 
 /// Scratch layout of the channel-attention composite, shared by the
 /// forward kernel (graph.cpp) and the derived backward (autodiff.cpp).

@@ -19,47 +19,4 @@ std::unique_ptr<ReLU> ReLU::deserialize(ByteReader& in) {
   return std::make_unique<ReLU>();
 }
 
-// -------------------------------------------------------------- Linear ----
-
-Linear::Linear(std::size_t in_features, std::size_t out_features, bool bias,
-               Rng& rng)
-    : in_(in_features), out_(out_features), has_bias_(bias) {
-  expects(in_ > 0 && out_ > 0, "Linear: zero-sized layer");
-  weight_.resize(in_ * out_);
-  xavier_init(weight_, in_, out_, rng);
-  if (has_bias_) bias_.assign(out_, 0.0f);
-}
-
-NodeRef Linear::append(Graph& g, NodeRef x) {
-  const NodeRef w = g.param(weight_, {out_, in_, 1, 1});
-  const NodeRef b =
-      has_bias_ ? g.param(bias_, {1, out_, 1, 1}) : NodeRef{};
-  return g.matmul(x, w, out_, b);
-}
-
-void Linear::serialize(ByteWriter& out) const {
-  out.varint(in_);
-  out.varint(out_);
-  out.u8(has_bias_ ? 1 : 0);
-  for (float w : weight_) out.f32(w);
-  for (float b : bias_) out.f32(b);
-}
-
-std::unique_ptr<Linear> Linear::deserialize(ByteReader& in) {
-  auto layer = std::unique_ptr<Linear>(new Linear());
-  layer->in_ = in.varint();
-  layer->out_ = in.varint();
-  layer->has_bias_ = in.u8() != 0;
-  if (layer->in_ == 0 || layer->out_ == 0 ||
-      layer->in_ * layer->out_ > (std::size_t{1} << 28))
-    throw CorruptStream("Linear::deserialize: bad dimensions");
-  layer->weight_.resize(layer->in_ * layer->out_);
-  for (float& w : layer->weight_) w = in.f32();
-  if (layer->has_bias_) {
-    layer->bias_.resize(layer->out_);
-    for (float& b : layer->bias_) b = in.f32();
-  }
-  return layer;
-}
-
 }  // namespace xfc::nn

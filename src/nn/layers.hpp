@@ -2,7 +2,7 @@
 #define XFC_NN_LAYERS_HPP
 
 /// \file layers.hpp
-/// Serializable layer descriptors (ReLU, Linear) of the CNN framework.
+/// The Layer interface of the CNN framework, and its ReLU descriptor.
 ///
 /// Since the graph/autodiff port, a Layer no longer computes anything: it
 /// owns parameter storage plus hyperparameters, knows how to (de)serialize
@@ -53,35 +53,6 @@ class ReLU final : public Layer {
   std::string kind() const override { return "relu"; }
   void serialize(ByteWriter& out) const override;
   static std::unique_ptr<ReLU> deserialize(ByteReader& in);
-};
-
-/// Fully connected layer on flattened (N, C*H*W) inputs; outputs
-/// (N, out_features, 1, 1). Used by tests and as a building block of the
-/// channel-attention MLP.
-class Linear final : public Layer {
- public:
-  Linear(std::size_t in_features, std::size_t out_features, bool bias,
-         Rng& rng);
-
-  NodeRef append(Graph& g, NodeRef x) override;
-  std::size_t param_count() const override {
-    return weight_.size() + bias_.size();
-  }
-  std::string kind() const override { return "linear"; }
-  void serialize(ByteWriter& out) const override;
-  static std::unique_ptr<Linear> deserialize(ByteReader& in);
-
-  std::size_t in_features() const { return in_; }
-  std::size_t out_features() const { return out_; }
-  std::vector<float>& weight() { return weight_; }  ///< [out][in]
-  std::vector<float>& bias() { return bias_; }
-
- private:
-  Linear() = default;
-
-  std::size_t in_ = 0, out_ = 0;
-  bool has_bias_ = true;
-  std::vector<float> weight_, bias_;  // weight: [out][in]
 };
 
 /// Xavier/Glorot uniform initialisation used across the framework.

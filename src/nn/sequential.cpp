@@ -51,7 +51,6 @@ std::unique_ptr<Sequential> Sequential::load_bytes(
 std::unique_ptr<Layer> deserialize_layer(const std::string& kind,
                                          ByteReader& in) {
   if (kind == "relu") return ReLU::deserialize(in);
-  if (kind == "linear") return Linear::deserialize(in);
   if (kind == "conv2d") return Conv2D::deserialize(in);
   if (kind == "channel_attention") return ChannelAttention::deserialize(in);
   if (kind == "sequential") return Sequential::deserialize(in);

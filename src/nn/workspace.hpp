@@ -4,10 +4,10 @@
 /// \file workspace.hpp
 /// Per-thread scratch-buffer arena for the NN and codec hot paths.
 ///
-/// Framed conv inputs, GEMM packing panels, layer activations and per-tile
-/// decode payloads are needed for microseconds at a time but allocated on
-/// every call; that malloc+zero traffic dominated small-batch NN profiles
-/// and the archive's per-tile decode setup. The arena hands out slab
+/// Framed conv inputs, broadcast conv weights, layer activations and
+/// per-tile decode payloads are needed for microseconds at a time but
+/// allocated on every call; that malloc+zero traffic dominated small-batch
+/// NN profiles and the archive's per-tile decode setup. The arena hands out slab
 /// positions by acquire order: after a rewind, the i-th acquire returns
 /// the same (grown-to-fit) slab as last time, so steady-state training
 /// loops and tile-decode loops perform zero heap allocations.

@@ -1,79 +1,24 @@
-#include "nn/im2col.hpp"
+#ifndef XFC_TESTS_CONV_REF_HPP
+#define XFC_TESTS_CONV_REF_HPP
 
-#include <algorithm>
-#include <cstring>
+/// Naive six-loop reference kernels for stride-1, zero-"same"-padded,
+/// grouped 2-D convolution (weight layout [out_ch][in_ch/groups][k][k]).
+/// Tests cross-check the graph's direct conv kernels against them to 1e-4
+/// relative tolerance; they sum in double and skip padding terms, so they
+/// are not bit references for the frozen forward order.
 
-#include "core/error.hpp"
+#include <cstddef>
+#include <vector>
+
+#include "nn/tensor.hpp"
 
 namespace xfc::nn {
 
-void im2col(const float* src, std::size_t icg, std::size_t h, std::size_t w,
-            std::size_t k, float* col) {
-  const std::size_t pad = k / 2;
-  const std::size_t hw = h * w;
-  float* out = col;
-  for (std::size_t ic = 0; ic < icg; ++ic) {
-    const float* plane = src + ic * hw;
-    for (std::size_t ky = 0; ky < k; ++ky) {
-      for (std::size_t kx = 0; kx < k; ++kx) {
-        // Horizontal extent of in-bounds output pixels for this tap; the
-        // per-pixel boundary check is hoisted to these three spans. Both
-        // ends clamp so planes narrower than the padding (w <= pad)
-        // degenerate to all-zero rows instead of wrapping the arithmetic.
-        std::size_t xlo = kx < pad ? std::min(pad - kx, w) : 0;
-        std::size_t xhi =
-            kx > pad ? (w > kx - pad ? w - (kx - pad) : 0) : w;
-        if (xhi < xlo) xhi = xlo;
-        for (std::size_t oy = 0; oy < h; ++oy, out += w) {
-          const std::ptrdiff_t iy = static_cast<std::ptrdiff_t>(oy + ky) -
-                                    static_cast<std::ptrdiff_t>(pad);
-          if (iy < 0 || iy >= static_cast<std::ptrdiff_t>(h)) {
-            std::memset(out, 0, w * sizeof(float));
-            continue;
-          }
-          if (xlo > 0) std::memset(out, 0, xlo * sizeof(float));
-          if (xhi > xlo)
-            std::memcpy(out + xlo, plane + iy * w + (xlo + kx - pad),
-                        (xhi - xlo) * sizeof(float));
-          if (xhi < w) std::memset(out + xhi, 0, (w - xhi) * sizeof(float));
-        }
-      }
-    }
-  }
-}
-
-void col2im(const float* col, std::size_t icg, std::size_t h, std::size_t w,
-            std::size_t k, float* dst) {
-  const std::size_t pad = k / 2;
-  const std::size_t hw = h * w;
-  const float* in = col;
-  for (std::size_t ic = 0; ic < icg; ++ic) {
-    float* plane = dst + ic * hw;
-    for (std::size_t ky = 0; ky < k; ++ky) {
-      for (std::size_t kx = 0; kx < k; ++kx) {
-        std::size_t xlo = kx < pad ? std::min(pad - kx, w) : 0;
-        std::size_t xhi =
-            kx > pad ? (w > kx - pad ? w - (kx - pad) : 0) : w;
-        if (xhi < xlo) xhi = xlo;
-        for (std::size_t oy = 0; oy < h; ++oy, in += w) {
-          const std::ptrdiff_t iy = static_cast<std::ptrdiff_t>(oy + ky) -
-                                    static_cast<std::ptrdiff_t>(pad);
-          if (iy < 0 || iy >= static_cast<std::ptrdiff_t>(h) || xhi == xlo)
-            continue;
-          float* row = plane + iy * w;
-          // ox + kx >= pad for ox >= xlo, so the target index never
-          // underflows and stays < w; no shifted base pointer is formed.
-          for (std::size_t ox = xlo; ox < xhi; ++ox)
-            row[ox + kx - pad] += in[ox];
-        }
-      }
-    }
-  }
-}
-
-Tensor conv2d_ref_forward(const Tensor& x, const std::vector<float>& weight,
-                          const float* bias, std::size_t out_ch,
-                          std::size_t k, std::size_t groups) {
+/// Reference forward; bias may be null.
+inline Tensor conv2d_ref_forward(const Tensor& x,
+                                 const std::vector<float>& weight,
+                                 const float* bias, std::size_t out_ch,
+                                 std::size_t k, std::size_t groups) {
   const std::size_t B = x.n(), H = x.h(), W = x.w();
   const std::size_t icg = x.c() / groups;
   const std::size_t ocg = out_ch / groups;
@@ -112,12 +57,14 @@ Tensor conv2d_ref_forward(const Tensor& x, const std::vector<float>& weight,
   return y;
 }
 
-Tensor conv2d_ref_backward(const Tensor& x, const Tensor& grad_out,
-                           const std::vector<float>& weight,
-                           std::size_t out_ch, std::size_t k,
-                           std::size_t groups,
-                           std::vector<float>& grad_weight,
-                           float* grad_bias) {
+/// Reference backward. Accumulates (+=) into grad_weight and grad_bias, as
+/// the graph's parameter gradients do; grad_bias may be null. Returns dL/dx.
+inline Tensor conv2d_ref_backward(const Tensor& x, const Tensor& grad_out,
+                                  const std::vector<float>& weight,
+                                  std::size_t out_ch, std::size_t k,
+                                  std::size_t groups,
+                                  std::vector<float>& grad_weight,
+                                  float* grad_bias) {
   const std::size_t B = x.n(), H = x.h(), W = x.w();
   const std::size_t icg = x.c() / groups;
   const std::size_t ocg = out_ch / groups;
@@ -165,3 +112,5 @@ Tensor conv2d_ref_backward(const Tensor& x, const Tensor& grad_out,
 }
 
 }  // namespace xfc::nn
+
+#endif  // XFC_TESTS_CONV_REF_HPP

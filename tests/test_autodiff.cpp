@@ -19,13 +19,13 @@
 #include <unistd.h>
 
 #include "cfnn/cfnn.hpp"
+#include "conv_ref.hpp"
 #include "cfnn/trainer.hpp"
 #include "core/rng.hpp"
 #include "nn/attention.hpp"
 #include "nn/autodiff.hpp"
 #include "nn/conv2d.hpp"
 #include "nn/graph.hpp"
-#include "nn/im2col.hpp"
 #include "nn/layers.hpp"
 #include "nn/sequential.hpp"
 
@@ -75,33 +75,6 @@ std::vector<float>& random_param(Model& m, const char* name, std::size_t n,
   return v;
 }
 
-TEST(CheckGrad, MatMulWithBias) {
-  check_op({3, 6, 1, 1}, 0xA1, {},
-           [](Graph& g, NodeRef in, Rng& rng, auto& keep, Model&) {
-             keep.push_back(std::make_unique<Linear>(6, 4, true, rng));
-             return keep.back()->append(g, in);
-           });
-}
-
-TEST(CheckGrad, MatMulNoBias) {
-  check_op({2, 5, 1, 1}, 0xA2, {},
-           [](Graph& g, NodeRef in, Rng& rng, auto&, Model& m) {
-             auto& w = random_param(m, "w", 3 * 5, rng);
-             return g.matmul(in, g.param(w, {3, 5, 1, 1}), 3);
-           });
-}
-
-TEST(CheckGrad, MatMulOnFlattenedPlanes) {
-  // matmul flattens (N, C, H, W) -> (N, C*H*W): in_features = 2*3*4 = 24.
-  check_op({2, 2, 3, 4}, 0xA3, {},
-           [](Graph& g, NodeRef in, Rng& rng, auto&, Model& m) {
-             auto& w = random_param(m, "w", 5 * 24, rng, 0.2);
-             auto& b = random_param(m, "b", 5, rng);
-             return g.matmul(in, g.param(w, {5, 24, 1, 1}), 5,
-                             g.param(b, {1, 5, 1, 1}));
-           });
-}
-
 TEST(CheckGrad, BiasAddStandalone) {
   check_op({2, 3, 4, 5}, 0xA4, {},
            [](Graph& g, NodeRef in, Rng& rng, auto&, Model& m) {
@@ -127,12 +100,16 @@ TEST(CheckGrad, Conv2DKernel3) {
            });
 }
 
-TEST(CheckGrad, Conv2DKernel5) {
-  check_op({2, 2, 7, 6}, 0xB2, {},
-           [](Graph& g, NodeRef in, Rng& rng, auto& keep, Model&) {
-             keep.push_back(std::make_unique<Conv2D>(2, 3, 5, 1, true, rng));
-             return keep.back()->append(g, in);
-           });
+TEST(CheckGrad, Conv2DKernel5And7) {
+  // Graph::conv2d takes any odd kernel, and CfnnConfig.kernel is stored in
+  // model bytes, so the kernels must not be capped at the CFNN's sizes.
+  for (const std::size_t k : {std::size_t{5}, std::size_t{7}})
+    check_op({2, 2, 7, 6}, 0xB2, {},
+             [k](Graph& g, NodeRef in, Rng& rng, auto& keep, Model&) {
+               keep.push_back(
+                   std::make_unique<Conv2D>(2, 3, k, 1, true, rng));
+               return keep.back()->append(g, in);
+             });
 }
 
 TEST(CheckGrad, Conv2DGroupedBatched) {
@@ -153,12 +130,40 @@ TEST(CheckGrad, Conv2DDepthwise) {
 
 TEST(CheckGrad, Conv2DOnePixelPlanes) {
   // 1x1 spatial planes with k=3: the entire receptive field is padding
-  // except the centre tap — exercises the im2col halo path degenerately.
+  // except the centre tap, so every other tap's gradient span is empty.
   check_op({2, 3, 1, 1}, 0xB5, {},
            [](Graph& g, NodeRef in, Rng& rng, auto& keep, Model&) {
              keep.push_back(std::make_unique<Conv2D>(3, 2, 3, 1, true, rng));
              return keep.back()->append(g, in);
            });
+}
+
+TEST(CheckGrad, Conv2DInputWithTwoConsumers) {
+  // h feeds a conv and a ReLU. The ReLU comes later on the tape, so it
+  // back-propagates first and writes dL/dh; the conv's data gradient must
+  // then add to it, not overwrite it, at every kernel size. The first
+  // conv's bias keeps h well above zero, so no finite-difference step
+  // crosses the ReLU's kink.
+  for (const std::size_t k : {std::size_t{1}, std::size_t{3}}) {
+    Rng rng(0xB6);
+    Conv2D first(3, 4, 3, 1, true, rng);
+    Conv2D second(4, 4, k, 1, true, rng);
+    std::fill(first.bias().begin(), first.bias().end(), 4.0f);
+    Tensor x = random_tensor(2, 3, 5, 6, rng);
+    Graph g(Graph::Mode::kTrain);
+    const NodeRef in = g.input({2, 3, 5, 6});
+    const NodeRef h = first.append(g, in);
+    const NodeRef pred = second.append(g, h);
+    const NodeRef target = g.relu(h);
+    g.mse_loss(pred, target);
+    GraphExec exec(g, tls_workspace());
+    exec.bind(in, x.data());
+    const CheckGradResult r = check_grad(g, exec, {});
+    EXPECT_TRUE(r.ok) << "k=" << k << ": max rel err " << r.max_rel_err
+                      << " at param " << r.worst_param << "["
+                      << r.worst_elem << "]: analytic " << r.worst_analytic
+                      << " vs fd " << r.worst_numeric;
+  }
 }
 
 TEST(CheckGrad, ChannelAttention) {
@@ -214,7 +219,8 @@ TEST(CheckGrad, FullCfnnGraph) {
 
 TEST(CheckGrad, ModelRecipe) {
   // The graph-first path with no Layer shims at all: Model owns named
-  // parameters, the graph is built inline, one check_grad verifies it.
+  // parameters, the graph is built inline (two 1x1 convs on 1x1 planes,
+  // i.e. fully connected layers), one check_grad verifies it.
   Rng rng(0xD2);
   Model m;
   auto& w1 = m.add_xavier("fc1.w", 4 * 6, 6, 4, rng);
@@ -225,10 +231,10 @@ TEST(CheckGrad, ModelRecipe) {
   Tensor t = random_tensor(3, 2, 1, 1, rng);
   Graph g(Graph::Mode::kTrain);
   const NodeRef in = g.input({3, 6, 1, 1});
-  NodeRef h = g.matmul(in, g.param(w1, {4, 6, 1, 1}), 4,
+  NodeRef h = g.conv2d(in, g.param(w1, {4, 6, 1, 1}), 4, 1, 1,
                        g.param(b1, {1, 4, 1, 1}));
   h = g.relu(h);
-  h = g.matmul(h, g.param(w2, {2, 4, 1, 1}), 2);
+  h = g.conv2d(h, g.param(w2, {2, 4, 1, 1}), 2, 1, 1);
   const NodeRef tgt = g.input({3, 2, 1, 1});
   g.mse_loss(h, tgt);
   GraphExec exec(g, tls_workspace());
@@ -253,7 +259,7 @@ TEST(Graph, SharedParamRegistersOnce) {
 
 TEST(GraphForward, ConvMatchesNaiveReference) {
   Rng rng(0xE1);
-  // Geometry sweep mirroring test_gemm's table, incl. groups and k=5.
+  // Geometry sweep mirroring test_conv's table, incl. groups and k=5.
   struct Case {
     std::size_t n, in_ch, out_ch, k, groups, h, w;
   };
@@ -371,9 +377,9 @@ TEST(GraphExecArena, SteadyStateTrainingReservesNothing) {
   // After construction + one warmup iteration, repeated forward/backward
   // must not grow the exec's arena: activations, gradients and the
   // backward kernels' caller-side scratch were all acquired by then. A
-  // private (non-tls) workspace keeps the measurement deterministic — the
-  // per-chunk im2col scratch lives on whichever pool thread runs the
-  // chunk, and chunk placement varies with XFC_THREADS.
+  // private (non-tls) workspace measures the exec's own acquires only; the
+  // conv kernels take their framing scratch from the calling thread's tls
+  // arena.
   Rng rng(0xF1);
   Sequential net;
   net.add(std::make_unique<Conv2D>(3, 8, 3, 1, true, rng));

@@ -1,24 +1,22 @@
-// Cross-checks for the NN compute core: blocked SGEMM vs the naive
-// reference, im2col against its index definition, the graph's conv/matmul
-// ops (direct conv forward, derived backward via GraphExec::backward_from)
-// against the retained naive kernels — across odd shapes, groups > 1,
-// batch > 1, and k in {1,3,5} — and the direct conv forward bit for bit
-// against the im2col + sgemm forward pass it replaced.
+// Cross-checks for the graph's direct conv kernels: forward and derived
+// backward (GraphExec::backward_from) against the naive reference kernels
+// across odd shapes, groups > 1, batch > 1 and k in {1, 3, 5, 7}; the
+// forward pass bit for bit against a plain loop in the frozen summation
+// order; and the Workspace arena they run on.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <cstring>
 #include <limits>
 #include <vector>
 
+#include "conv_ref.hpp"
 #include "core/rng.hpp"
 #include "nn/conv2d.hpp"
-#include "nn/gemm.hpp"
 #include "nn/graph.hpp"
-#include "nn/im2col.hpp"
-#include "nn/layers.hpp"
 #include "nn/workspace.hpp"
 
 namespace xfc::nn {
@@ -45,108 +43,6 @@ Tensor random_tensor(std::size_t n, std::size_t c, std::size_t h,
   return t;
 }
 
-void check_sgemm(bool ta, bool tb, std::size_t m, std::size_t n,
-                 std::size_t k, float alpha, float beta, Rng& rng) {
-  const std::size_t lda = ta ? m : k;
-  const std::size_t ldb = tb ? k : n;
-  std::vector<float> a = random_vec((ta ? k : m) * lda, rng);
-  std::vector<float> b = random_vec((tb ? n : k) * ldb, rng);
-  std::vector<float> c0 = random_vec(m * n, rng);
-  std::vector<float> c_blocked = c0, c_ref = c0;
-  sgemm(ta, tb, m, n, k, alpha, a.data(), lda, b.data(), ldb, beta,
-        c_blocked.data(), n);
-  sgemm_ref(ta, tb, m, n, k, alpha, a.data(), lda, b.data(), ldb, beta,
-            c_ref.data(), n);
-  for (std::size_t i = 0; i < c_ref.size(); ++i)
-    expect_near_rel(c_blocked[i], c_ref[i], "sgemm", i);
-}
-
-TEST(Sgemm, MatchesReferenceAcrossShapes) {
-  Rng rng(101);
-  // Odd, tiny, register-tile-straddling shapes.
-  const std::size_t dims[] = {1, 2, 3, 5, 7, 8, 13, 17, 70};
-  for (std::size_t m : dims)
-    for (std::size_t n : dims)
-      for (std::size_t k : {std::size_t{1}, std::size_t{6}, std::size_t{70}})
-        check_sgemm(false, false, m, n, k, 1.0f, 0.0f, rng);
-}
-
-TEST(Sgemm, MatchesReferenceTransposed) {
-  Rng rng(102);
-  for (bool ta : {false, true})
-    for (bool tb : {false, true})
-      for (std::size_t m : {std::size_t{1}, std::size_t{9}, std::size_t{40}})
-        for (std::size_t n : {std::size_t{3}, std::size_t{31}})
-          check_sgemm(ta, tb, m, n, 25, 1.0f, 0.0f, rng);
-}
-
-TEST(Sgemm, AlphaBetaAccumulate) {
-  Rng rng(103);
-  check_sgemm(false, false, 11, 23, 17, 0.5f, 1.0f, rng);
-  check_sgemm(true, false, 12, 9, 30, 2.0f, -0.5f, rng);
-  check_sgemm(false, true, 7, 19, 41, 1.0f, 1.0f, rng);
-}
-
-TEST(Sgemm, BlockingBoundariesExact) {
-  // Spans the KC=240 / MC=72 / NC=1024 block edges so multi-block
-  // accumulation (beta0 handling) is exercised.
-  Rng rng(104);
-  check_sgemm(false, false, 73, 90, 250, 1.0f, 0.0f, rng);
-  check_sgemm(false, false, 6, 1030, 241, 1.0f, 1.0f, rng);
-}
-
-TEST(Im2col, MatchesIndexDefinition) {
-  Rng rng(105);
-  for (std::size_t k : {std::size_t{1}, std::size_t{3}, std::size_t{5}}) {
-    const std::size_t icg = 3, H = 6, W = 7;
-    const Tensor x = random_tensor(1, icg, H, W, rng);
-    const std::size_t pad = k / 2;
-    std::vector<float> col(icg * k * k * H * W, -42.0f);
-    im2col(x.data(), icg, H, W, k, col.data());
-    for (std::size_t ic = 0; ic < icg; ++ic)
-      for (std::size_t ky = 0; ky < k; ++ky)
-        for (std::size_t kx = 0; kx < k; ++kx)
-          for (std::size_t oy = 0; oy < H; ++oy)
-            for (std::size_t ox = 0; ox < W; ++ox) {
-              const std::ptrdiff_t iy = static_cast<std::ptrdiff_t>(oy + ky) -
-                                        static_cast<std::ptrdiff_t>(pad);
-              const std::ptrdiff_t ix = static_cast<std::ptrdiff_t>(ox + kx) -
-                                        static_cast<std::ptrdiff_t>(pad);
-              const bool inside =
-                  iy >= 0 && iy < static_cast<std::ptrdiff_t>(H) && ix >= 0 &&
-                  ix < static_cast<std::ptrdiff_t>(W);
-              const float want =
-                  inside ? x(0, ic, static_cast<std::size_t>(iy),
-                             static_cast<std::size_t>(ix))
-                         : 0.0f;
-              const std::size_t row = (ic * k + ky) * k + kx;
-              EXPECT_EQ(col[row * H * W + oy * W + ox], want)
-                  << "k=" << k << " row=" << row << " oy=" << oy
-                  << " ox=" << ox;
-            }
-  }
-}
-
-TEST(Im2col, Col2imIsAdjoint) {
-  // <im2col(x), c> == <x, col2im(c)> characterises the scatter-add
-  // inverse exactly (both sides are sums of the same products).
-  Rng rng(106);
-  const std::size_t icg = 2, H = 5, W = 6, k = 3;
-  const Tensor x = random_tensor(1, icg, H, W, rng);
-  const std::size_t cn = icg * k * k * H * W;
-  const std::vector<float> c = random_vec(cn, rng);
-  std::vector<float> col(cn);
-  im2col(x.data(), icg, H, W, k, col.data());
-  std::vector<float> back(icg * H * W, 0.0f);
-  col2im(c.data(), icg, H, W, k, back.data());
-  double lhs = 0.0, rhs = 0.0;
-  for (std::size_t i = 0; i < cn; ++i)
-    lhs += static_cast<double>(col[i]) * c[i];
-  for (std::size_t i = 0; i < back.size(); ++i)
-    rhs += static_cast<double>(x.vec()[i]) * back[i];
-  EXPECT_NEAR(lhs, rhs, 1e-3 * std::max(1.0, std::abs(lhs)));
-}
-
 struct ConvCase {
   std::size_t batch, in_ch, out_ch, k, groups, h, w;
 };
@@ -159,12 +55,14 @@ const ConvCase kConvCases[] = {
     {3, 5, 3, 1, 1, 4, 11},   // pointwise, batch > 1
     {2, 6, 4, 3, 2, 8, 8},    // grouped, even plane
     {1, 2, 2, 5, 1, 5, 5},    // kernel as large as the plane
-    {2, 8, 8, 3, 2, 33, 17},  // straddles GEMM register tiles
+    {2, 8, 8, 3, 2, 33, 17},  // straddles the 8-pixel register tiles
     {1, 2, 3, 5, 1, 4, 1},    // plane narrower than the padding (w <= pad)
     {1, 1, 2, 5, 1, 1, 6},    // single-row plane, wide halo
+    {2, 2, 5, 3, 1, 6, 13},   // channel blocks of 4 and 1; 8-, 4-, 1-wide rows
+    {1, 3, 2, 7, 1, 9, 10},   // k = 7
 };
 
-TEST(Conv2DGemm, ForwardMatchesNaiveReference) {
+TEST(Conv2DGraph, ForwardMatchesNaiveReference) {
   for (const ConvCase& cc : kConvCases) {
     Rng rng(200 + cc.in_ch + cc.out_ch + cc.k);
     Conv2D conv(cc.in_ch, cc.out_ch, cc.k, cc.groups, /*bias=*/true, rng);
@@ -187,7 +85,7 @@ TEST(Conv2DGemm, ForwardMatchesNaiveReference) {
   }
 }
 
-TEST(Conv2DGemm, BackwardMatchesNaiveReference) {
+TEST(Conv2DGraph, BackwardMatchesNaiveReference) {
   for (const ConvCase& cc : kConvCases) {
     Rng rng(300 + cc.in_ch + cc.out_ch + cc.k);
     Conv2D conv(cc.in_ch, cc.out_ch, cc.k, cc.groups, /*bias=*/true, rng);
@@ -228,34 +126,52 @@ TEST(Conv2DGemm, BackwardMatchesNaiveReference) {
 // --------------------------------------------- frozen conv arithmetic ----
 //
 // The decoder replays the encoder's CFNN bit for bit, so the direct conv
-// kernel must reproduce the forward pass archives were written with: one
-// im2col + sgemm per (image, group) — K = icg*k*k terms per output, summed
-// in KC = 240 chunks — and then the bias in a separate pass. The reference
-// below rebuilds that pass from the library's im2col and sgemm.
+// kernel must keep the summation order archives were written with. The
+// reference below is that order as a plain loop, one output at a time:
+// terms k = (ic, ky, kx) ascending, padding terms computed; chunks of 240
+// terms, each summed from 0.0f; C = acc_0, then C = acc_i + C; the bias
+// added last.
 
-std::vector<float> im2col_sgemm_forward(const ConvCase& cc,
+std::vector<float> frozen_order_forward(const ConvCase& cc,
                                         const std::vector<float>& x,
                                         const std::vector<float>& w,
                                         const std::vector<float>* bias) {
+  constexpr std::size_t kChunk = 240;
   const std::size_t hw = cc.h * cc.w;
   const std::size_t icg = cc.in_ch / cc.groups;
   const std::size_t ocg = cc.out_ch / cc.groups;
-  const std::size_t K = icg * cc.k * cc.k;
+  const std::size_t k2 = cc.k * cc.k;
+  const std::size_t K = icg * k2;
+  const auto H = static_cast<std::ptrdiff_t>(cc.h);
+  const auto W = static_cast<std::ptrdiff_t>(cc.w);
+  const auto pad = static_cast<std::ptrdiff_t>(cc.k / 2);
   std::vector<float> y(cc.batch * cc.out_ch * hw);
-  std::vector<float> col(K * hw);
   for (std::size_t b = 0; b < cc.batch; ++b)
-    for (std::size_t g = 0; g < cc.groups; ++g) {
-      im2col(x.data() + (b * cc.in_ch + g * icg) * hw, icg, cc.h, cc.w, cc.k,
-             col.data());
-      sgemm(false, false, ocg, hw, K, 1.0f, w.data() + g * ocg * K, K,
-            col.data(), hw, 0.0f, y.data() + (b * cc.out_ch + g * ocg) * hw,
-            hw);
+    for (std::size_t oc = 0; oc < cc.out_ch; ++oc) {
+      const float* xg = x.data() + (b * cc.in_ch + oc / ocg * icg) * hw;
+      const float* wo = w.data() + oc * K;
+      float* yo = y.data() + (b * cc.out_ch + oc) * hw;
+      for (std::ptrdiff_t oy = 0; oy < H; ++oy)
+        for (std::ptrdiff_t ox = 0; ox < W; ++ox) {
+          float c = 0.0f;
+          for (std::size_t p0 = 0; p0 < K; p0 += kChunk) {
+            float acc = 0.0f;
+            for (std::size_t p = p0; p < std::min(K, p0 + kChunk); ++p) {
+              const std::size_t ic = p / k2;
+              const auto ky = static_cast<std::ptrdiff_t>(p % k2 / cc.k);
+              const auto kx = static_cast<std::ptrdiff_t>(p % cc.k);
+              const std::ptrdiff_t iy = oy + ky - pad;
+              const std::ptrdiff_t ix = ox + kx - pad;
+              const bool inside = iy >= 0 && iy < H && ix >= 0 && ix < W;
+              const float xv = inside ? (xg + ic * hw)[iy * W + ix] : 0.0f;
+              acc += wo[p] * xv;
+            }
+            c = p0 == 0 ? acc : acc + c;
+          }
+          if (bias != nullptr) c += (*bias)[oc];
+          yo[oy * W + ox] = c;
+        }
     }
-  if (bias != nullptr)
-    for (std::size_t b = 0; b < cc.batch; ++b)
-      for (std::size_t oc = 0; oc < cc.out_ch; ++oc)
-        for (std::size_t i = 0; i < hw; ++i)
-          y[(b * cc.out_ch + oc) * hw + i] += (*bias)[oc];
   return y;
 }
 
@@ -313,7 +229,7 @@ const ConvCase kFrozenConvCases[] = {
     {1, 3, 10, 3, 1, 2, 33},     // blocks of 4, 4 and 2; ragged last tile
 };
 
-TEST(ConvDirect, BitEqualToIm2colSgemmForward) {
+TEST(ConvDirect, BitEqualToFrozenOrderLoop) {
   for (const ConvCase& cc : kFrozenConvCases) {
     Rng rng(500 + cc.in_ch * 7 + cc.out_ch + cc.k + cc.w);
     const std::size_t nw = cc.out_ch * (cc.in_ch / cc.groups) * cc.k * cc.k;
@@ -325,7 +241,7 @@ TEST(ConvDirect, BitEqualToIm2colSgemmForward) {
       for (std::vector<float>* b : {&bias, static_cast<std::vector<float>*>(
                                                nullptr)})
         expect_same_bits(graph_conv_forward(cc, mode, x, w, b),
-                         im2col_sgemm_forward(cc, x, w, b),
+                         frozen_order_forward(cc, x, w, b),
                          b != nullptr ? "conv + bias" : "conv");
   }
 }
@@ -358,10 +274,10 @@ TEST(ConvDirect, BitEqualWithNonFiniteAndSignedZeroValues) {
     for (std::vector<float>* b : {&bias, static_cast<std::vector<float>*>(
                                              nullptr)}) {
       expect_same_bits(graph_conv_forward(cc, Graph::Mode::kInfer, xs, w, b),
-                       im2col_sgemm_forward(cc, xs, w, b),
+                       frozen_order_forward(cc, xs, w, b),
                        "non-finite inputs");
       expect_same_bits(graph_conv_forward(cc, Graph::Mode::kInfer, x, ws, b),
-                       im2col_sgemm_forward(cc, x, ws, b),
+                       frozen_order_forward(cc, x, ws, b),
                        "non-finite weights");
     }
   }
@@ -375,64 +291,8 @@ TEST(ConvDirect, NegativeZeroProductsSumToPositiveZero) {
   std::vector<float> w(cc.out_ch * cc.in_ch * cc.k * cc.k, 0.5f);
   const std::vector<float> got =
       graph_conv_forward(cc, Graph::Mode::kInfer, x, w, nullptr);
-  expect_same_bits(got, im2col_sgemm_forward(cc, x, w, nullptr), "-0 conv");
+  expect_same_bits(got, frozen_order_forward(cc, x, w, nullptr), "-0 conv");
   for (float v : got) EXPECT_FALSE(std::signbit(v));
-}
-
-TEST(LinearGemm, ForwardBackwardMatchNaiveReference) {
-  Rng rng(400);
-  const std::size_t B = 5, in_f = 13, out_f = 7;
-  Linear lin(in_f, out_f, /*bias=*/true, rng);
-  Tensor x = random_tensor(B, in_f, 1, 1, rng);
-  Tensor go = random_tensor(B, out_f, 1, 1, rng);
-
-  Graph g(Graph::Mode::kTrain);
-  const NodeRef in = g.input({B, in_f, 1, 1}, /*needs_grad=*/true);
-  const NodeRef out = lin.append(g, in);
-  GraphExec exec(g, tls_workspace());
-  exec.bind(in, x.data());
-  exec.forward();
-
-  const float* y = exec.value(out);
-  const std::vector<float>& w = lin.weight();
-  const std::vector<float>& bias = lin.bias();
-  for (std::size_t b = 0; b < B; ++b)
-    for (std::size_t o = 0; o < out_f; ++o) {
-      double acc = bias[o];
-      for (std::size_t i = 0; i < in_f; ++i)
-        acc += static_cast<double>(w[o * in_f + i]) * x.vec()[b * in_f + i];
-      expect_near_rel(y[b * out_f + o], static_cast<float>(acc),
-                      "linear forward", b * out_f + o);
-    }
-
-  g.zero_grad();
-  exec.backward_from(out, go.data());
-  auto params = g.params();
-  ASSERT_EQ(params.size(), 2u);
-  const float* gx = exec.grad(in);
-  ASSERT_NE(gx, nullptr);
-  for (std::size_t b = 0; b < B; ++b)
-    for (std::size_t i = 0; i < in_f; ++i) {
-      double acc = 0.0;
-      for (std::size_t o = 0; o < out_f; ++o)
-        acc += static_cast<double>(go.vec()[b * out_f + o]) * w[o * in_f + i];
-      expect_near_rel(gx[b * in_f + i], static_cast<float>(acc), "linear dX",
-                      b * in_f + i);
-    }
-  for (std::size_t o = 0; o < out_f; ++o) {
-    for (std::size_t i = 0; i < in_f; ++i) {
-      double acc = 0.0;
-      for (std::size_t b = 0; b < B; ++b)
-        acc += static_cast<double>(go.vec()[b * out_f + o]) *
-               x.vec()[b * in_f + i];
-      expect_near_rel((*params[0].grad)[o * in_f + i],
-                      static_cast<float>(acc), "linear dW", o * in_f + i);
-    }
-    double gb = 0.0;
-    for (std::size_t b = 0; b < B; ++b) gb += go.vec()[b * out_f + o];
-    expect_near_rel((*params[1].grad)[o], static_cast<float>(gb), "linear dB",
-                    o);
-  }
 }
 
 TEST(WorkspaceArena, ReusesSlabsAcrossScopes) {

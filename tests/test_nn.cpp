@@ -144,23 +144,6 @@ TEST(ReLULayer, BackwardMasks) {
             (std::vector<float>{0.0f, 1.0f, 1.0f, 0.0f}));
 }
 
-TEST(LinearLayer, KnownComputation) {
-  Rng rng(1);
-  Linear lin(2, 1, true, rng);
-  lin.weight() = {3.0f, -2.0f};
-  lin.bias() = {0.5f};
-  Tensor x(1, 2, 1, 1);
-  x.vec() = {4.0f, 1.0f};
-  const Tensor y = run_layer(lin, x);
-  EXPECT_FLOAT_EQ(y.vec()[0], 3.0f * 4.0f - 2.0f * 1.0f + 0.5f);
-}
-
-TEST(LinearLayer, GradientCheck) {
-  Rng rng(2);
-  Linear lin(6, 4, true, rng);
-  check_gradients(lin, random_tensor(3, 6, 1, 1, rng));
-}
-
 TEST(Conv2DLayer, IdentityKernelPassesThrough) {
   Rng rng(3);
   Conv2D conv(1, 1, 3, 1, false, rng);
@@ -235,8 +218,8 @@ TEST(Conv2DLayer, GradientCheckPointwise) {
   check_gradients(conv, random_tensor(2, 5, 4, 4, rng));
 }
 
-// The k=5 / batched-grouped cases route through every im2col+GEMM code
-// path (wide halo, grouped weight blocks, per-image weight-grad GEMMs).
+// The k=5 / batched-grouped cases cover the wide halo, grouped weight
+// blocks and the cross-image weight-gradient sums.
 
 TEST(Conv2DLayer, GradientCheckKernel5) {
   Rng rng(30);
@@ -307,8 +290,8 @@ TEST(SequentialModel, ParamCountSumsLayers) {
   Rng rng(16);
   Sequential seq;
   seq.add(std::make_unique<Conv2D>(2, 3, 3, 1, true, rng));  // 2*3*9+3 = 57
-  seq.add(std::make_unique<Linear>(4, 2, true, rng));        // 8+2 = 10
-  EXPECT_EQ(seq.param_count(), 67u);
+  seq.add(std::make_unique<Conv2D>(3, 2, 1, 1, true, rng));  // 3*2+2 = 8
+  EXPECT_EQ(seq.param_count(), 65u);
 }
 
 TEST(MseLoss, ValueAndGradient) {
@@ -395,16 +378,6 @@ TEST(AdamOptimizer, IterationCounter) {
   EXPECT_EQ(adam.iterations(), 2u);
 }
 
-TEST(LinearLayer, NoBiasVariant) {
-  Rng rng(20);
-  Linear lin(3, 2, /*bias=*/false, rng);
-  EXPECT_EQ(lin.param_count(), 6u);  // weights only
-  Graph g(Graph::Mode::kTrain);
-  lin.append(g, g.input({2, 3, 1, 1}));
-  EXPECT_EQ(g.params().size(), 1u);
-  check_gradients(lin, random_tensor(2, 3, 1, 1, rng));
-}
-
 TEST(Conv2DLayer, NoBiasGradientCheck) {
   Rng rng(21);
   Conv2D conv(2, 3, 3, 1, /*bias=*/false, rng);
@@ -486,11 +459,14 @@ TEST(Serialization, SequentialRoundtripPreservesForward) {
 }
 
 TEST(Serialization, UnknownLayerKindThrows) {
-  ByteWriter w;
-  w.varint(1);
-  w.str("warp_drive");
-  const auto bytes = w.take();
-  EXPECT_THROW(Sequential::load_bytes(bytes), CorruptStream);
+  // "linear" was a kind once; no stored model holds one.
+  for (const char* kind : {"warp_drive", "linear"}) {
+    ByteWriter w;
+    w.varint(1);
+    w.str(kind);
+    const auto bytes = w.take();
+    EXPECT_THROW(Sequential::load_bytes(bytes), CorruptStream) << kind;
+  }
 }
 
 TEST(Serialization, TruncatedModelThrows) {
