@@ -6,7 +6,9 @@
 //   xfc_cli decompress in.xfc out.f32
 //   xfc_cli xcompress  tgt.f32 out.xfc D H W rel_eb a1.f32 a2.f32 ...
 //   xfc_cli xdecompress in.xfc out.f32 D H W a1.f32 a2.f32 ...
-//   xfc_cli info       in.xfc                       (stream header dump)
+//   xfc_cli info       in.xfc                       (stream header dump;
+//                                                    cross-field: hybrid
+//                                                    weights, payload size)
 //   xfc_cli verify     ref.f32 test.f32             (PSNR/SSIM/max error)
 //
 // Tiled archives (XFA1, random access + tile-parallel decode):
@@ -702,6 +704,12 @@ int main(int argc, char** argv) {
           std::printf(" %s", in.str().c_str());
         const auto model_bytes = in.blob();
         std::printf("\nmodel:     %zu bytes embedded\n", model_bytes.size());
+        const HybridModel hybrid = HybridModel::deserialize(in);
+        std::printf("hybrid:    weights");
+        for (double w : hybrid.weights()) std::printf(" %.6g", w);
+        std::printf(", bias %.6g\n", hybrid.bias());
+        std::printf("payload:   %zu bytes (lossless-coded deltas)\n",
+                    in.blob_view().size());
       }
       json.add_value("stream_bytes", static_cast<double>(stream.size()));
       json.add_value("ratio",

@@ -155,36 +155,18 @@ CrossFieldAnalysis cross_field_analyze(
     a.candidates.push_back(std::move(cand));
   }
 
-  // Fit the hybrid combination. Squared error is a poor proxy for coded
-  // size (it is dominated by the outlier tail, while Huffman cost follows
-  // log|delta| of typical points), so several fits compete on an
-  // estimated-coded-bits criterion: ridge LS, robust L1, the uniform
-  // average, and each predictor alone. The winner — often a genuine blend,
-  // sometimes a single dominant predictor, mirroring the paper's observed
-  // weight distributions — is what gets serialized.
+  // Fit the hybrid combination on what the coder pays, not on squared
+  // error (which the outlier tail dominates): the search scores blends by
+  // the entropy of the delta symbols they leave, and its blend must code
+  // smaller than the best of the uniform average and each single
+  // predictor. The result is often a genuine blend, sometimes a single
+  // dominant predictor, mirroring the paper's observed weight
+  // distributions.
   std::vector<std::span<const std::int32_t>> spans;
   spans.reserve(a.candidates.size());
   for (const auto& c : a.candidates) spans.push_back(c.span());
-  const std::size_t k = a.candidates.size();
-
-  std::vector<HybridModel> fits;
-  fits.push_back(HybridModel::fit(spans, a.codes.span(),
-                                  options.hybrid_lambda));
-  fits.push_back(HybridModel::fit_l1(spans, a.codes.span(),
-                                     options.hybrid_lambda));
-  fits.push_back(HybridModel(k));  // uniform average
-  for (std::size_t i = 0; i < k; ++i) fits.push_back(HybridModel::single(k, i));
-
-  double best_bits = 0.0;
-  std::size_t best = 0;
-  for (std::size_t i = 0; i < fits.size(); ++i) {
-    const double bits = fits[i].estimated_bits(spans, a.codes.span());
-    if (i == 0 || bits < best_bits) {
-      best_bits = bits;
-      best = i;
-    }
-  }
-  a.hybrid = fits[best];
+  a.hybrid = HybridModel::fit(spans, a.codes.span(), options.quant_radius,
+                             options.backend);
   return a;
 }
 

@@ -38,7 +38,6 @@ struct CrossFieldOptions {
   ErrorBound eb = ErrorBound::relative(1e-3);
   LosslessBackend backend = LosslessBackend::kAuto;
   std::uint32_t quant_radius = kDefaultQuantRadius;
-  double hybrid_lambda = 1e-3;  // ridge strength for the hybrid fit
 };
 
 /// Trains a CFNN for (target <- anchors) on *original* data; the returned

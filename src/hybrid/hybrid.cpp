@@ -1,167 +1,174 @@
 #include "hybrid/hybrid.hpp"
 
-#include <bit>
+#include <algorithm>
 #include <cmath>
 
 #include "core/error.hpp"
 #include "core/utils.hpp"
+#include "encode/backend.hpp"
+#include "sz/delta_codec.hpp"
 
 namespace xfc {
 namespace {
 
-/// Solves the (k+1)x(k+1) symmetric system A x = b in place via Gaussian
-/// elimination with partial pivoting. k <= 4 in practice.
-std::vector<double> solve_dense(std::vector<std::vector<double>> a,
-                                std::vector<double> b) {
-  const std::size_t n = b.size();
-  for (std::size_t col = 0; col < n; ++col) {
-    std::size_t pivot = col;
-    for (std::size_t r = col + 1; r < n; ++r)
-      if (std::abs(a[r][col]) > std::abs(a[pivot][col])) pivot = r;
-    std::swap(a[col], a[pivot]);
-    std::swap(b[col], b[pivot]);
-    const double diag = a[col][col];
-    if (std::abs(diag) < 1e-12) continue;  // leave singular direction at 0
-    for (std::size_t r = col + 1; r < n; ++r) {
-      const double f = a[r][col] / diag;
-      if (f == 0.0) continue;
-      for (std::size_t c = col; c < n; ++c) a[r][c] -= f * a[col][c];
-      b[r] -= f * b[col];
-    }
+/// The search scores blends on every ceil(n / kScorePoints)-th point.
+constexpr std::size_t kScorePoints = 32768;
+
+/// Writes `model`'s blend of `cols` (one int32 column per predictor) for
+/// every point to `out`, before rounding: combine()'s sums in combine()'s
+/// order, a column at a time so the loops vectorize.
+template <class Columns>
+void blend(const HybridModel& model, const Columns& cols,
+           std::span<double> out) {
+  std::fill(out.begin(), out.end(), model.bias());
+  for (std::size_t c = 0; c < cols.size(); ++c) {
+    const double w = model.weights()[c];
+    const std::int32_t* col = cols[c].data();
+    for (std::size_t i = 0; i < out.size(); ++i) out[i] += w * col[i];
   }
-  std::vector<double> x(n, 0.0);
-  for (std::size_t col = n; col-- > 0;) {
-    if (std::abs(a[col][col]) < 1e-12) {
-      x[col] = 0.0;
-      continue;
-    }
-    double acc = b[col];
-    for (std::size_t c = col + 1; c < n; ++c) acc -= a[col][c] * x[c];
-    x[col] = acc / a[col][col];
-  }
-  return x;
 }
+
+/// combine()'s rounding of a blended sum: clamped to the int32 range first,
+/// where the 1.5 * 2^52 shift rounds to nearest-even exactly.
+std::int64_t round_blend(double sum) {
+  sum = std::min(std::max(sum, static_cast<double>(INT32_MIN)),
+                 static_cast<double>(INT32_MAX));
+  return static_cast<std::int64_t>((sum + 0x1.8p52) - 0x1.8p52);
+}
+
+/// Scores a blend by the Shannon entropy, in bits, of the delta symbols it
+/// leaves on a fixed subsample: what the Huffman stage pays, give or take
+/// its table. Symbols at or past `escape` share the escape's bucket.
+class BlendScorer {
+ public:
+  BlendScorer(const std::vector<std::span<const std::int32_t>>& candidates,
+              std::span<const std::int32_t> targets, std::uint32_t escape)
+      : escape_(escape), hist_(escape + 1, 0) {
+    const std::size_t stride =
+        (targets.size() + kScorePoints - 1) / kScorePoints;
+    auto sample = [&](std::span<const std::int32_t> from) {
+      std::vector<std::int32_t> to;
+      for (std::size_t i = 0; i < from.size(); i += stride)
+        to.push_back(from[i]);
+      return to;
+    };
+    for (const auto& c : candidates) columns_.push_back(sample(c));
+    targets_ = sample(targets);
+    sums_.resize(targets_.size());
+    symbols_.resize(targets_.size());
+  }
+
+  double operator()(const HybridModel& model) {
+    blend(model, columns_, sums_);
+    for (std::size_t i = 0; i < sums_.size(); ++i) {
+      const std::uint64_t zz =
+          zigzag_encode64(targets_[i] - round_blend(sums_[i]));
+      symbols_[i] = static_cast<std::uint32_t>(std::min(zz, escape_));
+    }
+    for (std::uint32_t sym : symbols_)
+      if (hist_[sym]++ == 0) seen_.push_back(sym);
+    const double m = static_cast<double>(symbols_.size());
+    double bits = 0.0;
+    for (std::uint32_t sym : seen_) {
+      const double count = hist_[sym];
+      bits += count * std::log2(m / count);
+      hist_[sym] = 0;
+    }
+    seen_.clear();
+    return bits;
+  }
+
+ private:
+  std::uint64_t escape_;
+  std::vector<std::vector<std::int32_t>> columns_;  // sampled candidates
+  std::vector<std::int32_t> targets_;               // sampled codes
+  std::vector<double> sums_;
+  std::vector<std::uint32_t> symbols_;
+  std::vector<std::uint32_t> hist_;  // all zero between calls
+  std::vector<std::uint32_t> seen_;  // buckets this call has touched
+};
 
 }  // namespace
 
 HybridModel HybridModel::fit(
     const std::vector<std::span<const std::int32_t>>& candidates,
-    std::span<const std::int32_t> targets, double lambda,
-    std::size_t max_samples) {
+    std::span<const std::int32_t> targets, std::uint32_t quant_radius,
+    LosslessBackend backend) {
   expects(!candidates.empty(), "HybridModel::fit: no candidate predictors");
   const std::size_t k = candidates.size();
-  const std::size_t n = targets.size();
   for (const auto& c : candidates)
-    expects(c.size() == n, "HybridModel::fit: candidate size mismatch");
-  expects(n > 0, "HybridModel::fit: no samples");
+    expects(c.size() == targets.size(),
+            "HybridModel::fit: candidate size mismatch");
+  expects(!targets.empty(), "HybridModel::fit: no samples");
 
-  const std::size_t stride = n > max_samples ? n / max_samples : 1;
+  // What the stream stores for a blend: its delta payload after the
+  // lossless stage, as cross_field_compress codes it.
+  std::vector<double> sums(targets.size());
+  std::vector<std::int64_t> preds(targets.size());
+  auto coded_bytes = [&](const HybridModel& m) {
+    blend(m, candidates, sums);
+    for (std::size_t i = 0; i < sums.size(); ++i)
+      preds[i] = round_blend(sums[i]);
+    return lossless_compress(encode_deltas(targets, preds, quant_radius),
+                             backend)
+        .size();
+  };
 
-  // Normal equations over [candidates..., 1] with ridge on the weights
-  // (not the bias).
-  const std::size_t m = k + 1;
-  std::vector<std::vector<double>> ata(m, std::vector<double>(m, 0.0));
-  std::vector<double> atb(m, 0.0);
-  std::vector<double> row(m, 1.0);
-  std::size_t used = 0;
-  for (std::size_t i = 0; i < n; i += stride) {
-    for (std::size_t c = 0; c < k; ++c) row[c] = candidates[c][i];
-    row[k] = 1.0;
-    const double y = targets[i];
-    for (std::size_t r = 0; r < m; ++r) {
-      for (std::size_t c = r; c < m; ++c) ata[r][c] += row[r] * row[c];
-      atb[r] += row[r] * y;
+  // Start from whichever of the uniform average and the single predictors
+  // codes smallest.
+  HybridModel start(k);
+  std::size_t start_bytes = coded_bytes(start);
+  for (std::size_t c = 0; c < k; ++c) {
+    HybridModel one;
+    one.weights_.assign(k, 0.0);
+    one.weights_[c] = 1.0;
+    const std::size_t bytes = coded_bytes(one);
+    if (bytes < start_bytes) {
+      start = std::move(one);
+      start_bytes = bytes;
     }
-    ++used;
   }
-  for (std::size_t r = 0; r < m; ++r)
-    for (std::size_t c = 0; c < r; ++c) ata[r][c] = ata[c][r];
-  const double scale = static_cast<double>(used);
-  for (std::size_t r = 0; r < k; ++r) ata[r][r] += lambda * scale;
 
-  const auto x = solve_dense(std::move(ata), std::move(atb));
-  HybridModel model;
-  model.weights_.assign(x.begin(), x.begin() + k);
-  model.bias_ = x[k];
-  return model;
-}
+  // The histogram is capped at the default radius's alphabet; past it, a
+  // wider radius only moves rare symbols out of the escape bucket.
+  BlendScorer score(candidates, targets,
+                    2 * std::min(quant_radius, kDefaultQuantRadius));
+  HybridModel best = start;
+  double best_bits = score(best);
+  auto consider = [&](HybridModel m) {
+    const double bits = score(m);
+    if (bits >= best_bits) return false;
+    best = std::move(m);
+    best_bits = bits;
+    return true;
+  };
 
-HybridModel HybridModel::fit_l1(
-    const std::vector<std::span<const std::int32_t>>& candidates,
-    std::span<const std::int32_t> targets, double lambda,
-    std::size_t max_samples, std::size_t iterations) {
-  expects(!candidates.empty() && iterations >= 1,
-          "HybridModel::fit_l1: bad arguments");
-  const std::size_t k = candidates.size();
-  const std::size_t n = targets.size();
-  for (const auto& c : candidates)
-    expects(c.size() == n, "HybridModel::fit_l1: candidate size mismatch");
-  expects(n > 0, "HybridModel::fit_l1: no samples");
-
-  const std::size_t stride = n > max_samples ? n / max_samples : 1;
-  const std::size_t m = k + 1;
-
-  HybridModel model = fit(candidates, targets, lambda, max_samples);
-  std::vector<double> row(m, 1.0);
-  for (std::size_t it = 0; it < iterations; ++it) {
-    // IRLS: weight each sample by 1/max(|residual|, 1) — the Newton step
-    // for the smoothed L1 objective.
-    std::vector<std::vector<double>> ata(m, std::vector<double>(m, 0.0));
-    std::vector<double> atb(m, 0.0);
-    double weight_sum = 0.0;
-    for (std::size_t i = 0; i < n; i += stride) {
-      double pred = model.bias_;
-      for (std::size_t c = 0; c < k; ++c)
-        pred += model.weights_[c] * candidates[c][i];
-      const double resid = std::abs(pred - targets[i]);
-      const double w = 1.0 / std::max(resid, 1.0);
-      weight_sum += w;
-      for (std::size_t c = 0; c < k; ++c) row[c] = candidates[c][i];
-      row[k] = 1.0;
-      const double y = targets[i];
-      for (std::size_t r = 0; r < m; ++r) {
-        for (std::size_t c2 = r; c2 < m; ++c2)
-          ata[r][c2] += w * row[r] * row[c2];
-        atb[r] += w * row[r] * y;
-      }
+  // Coarse to fine, take the best move of `step` weight from one predictor
+  // to another while it lowers the score.
+  for (double step = 1.0 / 4; step >= 1.0 / 64; step /= 2) {
+    for (bool moved = true; moved;) {
+      const HybridModel here = best;
+      moved = false;
+      for (std::size_t from = 0; from < k; ++from)
+        for (std::size_t to = 0; to < k; ++to) {
+          if (from == to) continue;
+          HybridModel m = here;
+          m.weights_[from] -= step;
+          m.weights_[to] += step;
+          moved = consider(std::move(m)) || moved;
+        }
     }
-    for (std::size_t r = 0; r < m; ++r)
-      for (std::size_t c = 0; c < r; ++c) ata[r][c] = ata[c][r];
-    for (std::size_t r = 0; r < k; ++r) ata[r][r] += lambda * weight_sum;
-
-    const auto x = solve_dense(std::move(ata), std::move(atb));
-    model.weights_.assign(x.begin(), x.begin() + k);
-    model.bias_ = x[k];
   }
-  return model;
-}
-
-HybridModel HybridModel::single(std::size_t k, std::size_t index) {
-  expects(index < k, "HybridModel::single: index out of range");
-  HybridModel m;
-  m.weights_.assign(k, 0.0);
-  m.weights_[index] = 1.0;
-  return m;
-}
-
-double HybridModel::estimated_bits(
-    const std::vector<std::span<const std::int32_t>>& candidates,
-    std::span<const std::int32_t> targets, std::size_t max_samples) const {
-  expects(candidates.size() == weights_.size(),
-          "HybridModel::estimated_bits: predictor count mismatch");
-  const std::size_t n = targets.size();
-  const std::size_t stride = n > max_samples ? n / max_samples : 1;
-  double bits = 0.0;
-  for (std::size_t i = 0; i < n; i += stride) {
-    double pred = bias_;
-    for (std::size_t c = 0; c < candidates.size(); ++c)
-      pred += weights_[c] * candidates[c][i];
-    const std::int64_t p = static_cast<std::int64_t>(std::nearbyint(pred));
-    const std::int64_t delta = static_cast<std::int64_t>(targets[i]) - p;
-    // Elias-gamma-style proxy for the Huffman cost of the zigzag symbol.
-    bits += 1.0 + std::bit_width(zigzag_encode64(delta));
+  const HybridModel unbiased = best;
+  for (double bias : {-1.0, -0.5, 0.5, 1.0}) {
+    HybridModel m = unbiased;
+    m.bias_ = bias;
+    consider(std::move(m));
   }
-  return bits * static_cast<double>(stride);
+
+  // The score leaves out the Huffman table and the lossless stage, so the
+  // search's blend must also code smaller than its start to replace it.
+  return coded_bytes(best) < start_bytes ? best : start;
 }
 
 HybridModel HybridModel::fit_sgd(

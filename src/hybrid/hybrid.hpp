@@ -10,7 +10,8 @@
 /// n+1 weights + bias).
 ///
 /// Two fitting paths:
-///  - fit(): closed-form ridge least squares on a subsample (production);
+///  - fit(): the production fit, a search scored by what the delta coder
+///    pays;
 ///  - fit_sgd(): epoch-based gradient descent exposing the loss curve
 ///    (reproduces the right panel of paper Fig. 5).
 
@@ -18,7 +19,9 @@
 #include <span>
 #include <vector>
 
+#include "encode/backend.hpp"
 #include "io/bytebuffer.hpp"
+#include "sz/delta_codec.hpp"
 
 namespace xfc {
 
@@ -30,34 +33,22 @@ class HybridModel {
   explicit HybridModel(std::size_t k)
       : weights_(k, k > 0 ? 1.0 / static_cast<double>(k) : 0.0) {}
 
-  /// Ridge least squares: minimises ||y - Xw - b||^2 + lambda ||w||^2 over
-  /// the provided candidate columns. `candidates[c][i]` is predictor c's
-  /// prediction for point i; `targets[i]` the true quantization code.
-  /// Points are subsampled to at most `max_samples`.
+  /// The production fit. `candidates[c][i]` is predictor c's prediction
+  /// for point i; `targets[i]` the true quantization code. The search
+  /// starts from whichever of the uniform average and each single
+  /// predictor codes smallest (delta payload after `backend`). It then
+  /// takes the best move of 1/4, 1/8, ..., 1/64 weight between two
+  /// predictors while that lowers the score, and last tries biases of
+  /// +-0.5 and +-1. A blend's score is the Shannon entropy of its zigzag
+  /// delta symbols over every ceil(n/32768)-th point; symbols at or past
+  /// the coder's escape (2 * quant_radius, capped at the default radius's)
+  /// share one bucket. The searched blend replaces the start only if it
+  /// codes smaller. Serial and deterministic.
   static HybridModel fit(
       const std::vector<std::span<const std::int32_t>>& candidates,
-      std::span<const std::int32_t> targets, double lambda = 1e-3,
-      std::size_t max_samples = 1 << 20);
-
-  /// Robust (L1) fit via iteratively reweighted least squares. Coded size
-  /// tracks log|delta| rather than delta^2, so the L1 objective matches the
-  /// compressor's real cost much better than ridge LS when predictor error
-  /// distributions are heavy-tailed.
-  static HybridModel fit_l1(
-      const std::vector<std::span<const std::int32_t>>& candidates,
-      std::span<const std::int32_t> targets, double lambda = 1e-3,
-      std::size_t max_samples = 1 << 20, std::size_t iterations = 8);
-
-  /// One-hot model: weight 1 on predictor `index`, 0 elsewhere.
-  static HybridModel single(std::size_t k, std::size_t index);
-
-  /// Estimated entropy-coded cost (bits) of predicting `targets` with this
-  /// model over the candidate columns; subsampled. Used to select among
-  /// candidate fits.
-  double estimated_bits(
-      const std::vector<std::span<const std::int32_t>>& candidates,
       std::span<const std::int32_t> targets,
-      std::size_t max_samples = 1 << 18) const;
+      std::uint32_t quant_radius = kDefaultQuantRadius,
+      LosslessBackend backend = LosslessBackend::kAuto);
 
   /// Gradient-descent fit returning per-epoch MSE (Fig. 5, right panel).
   static HybridModel fit_sgd(

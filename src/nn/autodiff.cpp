@@ -20,8 +20,12 @@ namespace {
 void relu_backward(const float* x, const float* go, std::size_t n,
                    bool first, float* gx) {
   if (first) {
-    for (std::size_t i = 0; i < n; ++i)
-      gx[i] = x[i] <= 0.0f ? 0.0f : go[i];
+    // Loading go[i] unconditionally lets the compiler emit a packed
+    // compare-and-select instead of a branch per element.
+    for (std::size_t i = 0; i < n; ++i) {
+      const float g = go[i];
+      gx[i] = x[i] <= 0.0f ? 0.0f : g;
+    }
   } else {
     for (std::size_t i = 0; i < n; ++i)
       if (x[i] > 0.0f) gx[i] += go[i];

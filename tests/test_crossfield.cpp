@@ -4,14 +4,19 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 
+#include "archive/tile.hpp"
 #include "core/rng.hpp"
 #include "crossfield/crossfield.hpp"
 #include "crossfield/multifield.hpp"
+#include "data/dataset.hpp"
+#include "encode/backend.hpp"
 #include "metrics/metrics.hpp"
 #include "quant/dual_quant.hpp"
 #include "sz/compressor.hpp"
+#include "sz/delta_codec.hpp"
 #include "test_util.hpp"
 
 namespace xfc {
@@ -311,21 +316,145 @@ TEST(MultiField, MissingAnchorStreamDetected) {
                CorruptStream);
 }
 
+/// Bytes the stream stores for the analysed codes under `hybrid`: the
+/// lossless-coded delta payload, as cross_field_compress builds it.
+std::size_t coded_payload_bytes(const CrossFieldAnalysis& a,
+                                const HybridModel& hybrid) {
+  const std::size_t k = a.candidates.size();
+  std::vector<std::int64_t> preds(a.codes.size());
+  std::array<std::int64_t, 4> c{};
+  for (std::size_t i = 0; i < preds.size(); ++i) {
+    for (std::size_t p = 0; p < k; ++p) c[p] = a.candidates[p][i];
+    preds[i] = hybrid.combine(std::span<const std::int64_t>(c.data(), k));
+  }
+  return lossless_compress(
+             encode_deltas(a.codes.span(), preds, kDefaultQuantRadius))
+      .size();
+}
+
+/// Weight 1 on predictor `index` of `k`, built through the serialized form.
+HybridModel one_hot(std::size_t k, std::size_t index) {
+  ByteWriter w;
+  w.varint(k);
+  for (std::size_t c = 0; c < k; ++c) w.f64(c == index ? 1.0 : 0.0);
+  w.f64(0.0);
+  const auto bytes = w.take();
+  ByteReader r(bytes);
+  return HybridModel::deserialize(r);
+}
+
+/// Smallest coded payload among the uniform average and each predictor
+/// alone: the simple blends the fit must not lose to.
+std::size_t best_simple_payload_bytes(const CrossFieldAnalysis& a) {
+  const std::size_t k = a.candidates.size();
+  std::size_t best = coded_payload_bytes(a, HybridModel(k));
+  for (std::size_t c = 0; c < k; ++c)
+    best = std::min(best, coded_payload_bytes(a, one_hot(k, c)));
+  return best;
+}
+
 TEST(CrossField, HybridSelectionNotWorseThanLorenzoAlone) {
-  // The estimated-bits selection must never pick a combination that is
-  // materially worse than plain Lorenzo (Lorenzo is in the candidate set).
+  // The fitted blend must never code larger than plain Lorenzo (Lorenzo is
+  // one of the candidates), even when the cross-field predictors are junk.
   const TinySet s = make_tiny(Shape{48, 64}, 55);
   const std::vector<const Field*> anchors{&s.a0, &s.a1};
   const CfnnModel model(4, 2, tiny_cfnn(), 99);  // untrained: cross is junk
 
   const auto analysis =
       cross_field_analyze(s.target, anchors, model, CrossFieldOptions{});
-  std::vector<std::span<const std::int32_t>> spans;
-  for (const auto& c : analysis.candidates) spans.push_back(c.span());
-  const auto lorenzo_only = HybridModel::single(3, 2);
-  EXPECT_LE(analysis.hybrid.estimated_bits(spans, analysis.codes.span()),
-            lorenzo_only.estimated_bits(spans, analysis.codes.span()) *
-                1.0001);
+  EXPECT_LE(coded_payload_bytes(analysis, analysis.hybrid),
+            coded_payload_bytes(analysis, one_hot(3, 2)));
+}
+
+/// A target, its anchors and a CFNN trained on them with perfbench's
+/// schedule (6 epochs x 64 patches of 32^2, batch 16).
+struct TrainedTarget {
+  Dataset ds;
+  TargetSpec spec;
+  CfnnModel model;
+};
+
+TrainedTarget train_first_target(DatasetKind kind, const Shape& shape,
+                                 std::uint64_t seed) {
+  Dataset ds = make_dataset(kind, shape, seed);
+  const TargetSpec spec = table3_targets(kind, /*paper_scale=*/false).front();
+  std::vector<const Field*> anchors;
+  for (const std::string& a : spec.anchors) anchors.push_back(ds.find(a));
+  CfnnTrainOptions t;
+  t.epochs = 6;
+  t.patches_per_epoch = 64;
+  t.patch = 32;
+  t.batch = 16;
+  t.learning_rate = 1e-3;
+  t.seed = 0x5EED ^ seed;
+  CfnnModel model = train_cross_field_model(*ds.find(spec.target), anchors,
+                                            spec.cfnn, t);
+  return {std::move(ds), spec, std::move(model)};
+}
+
+/// The fit's oracle, tile by tile as the archive codes them: anchors are
+/// SZ reconstructions at the field's bound, every tile is analysed at the
+/// field-level absolute bound, and on each tile of at least 4096 points
+/// the fitted blend's real coded payload is at most 1.005x the best of
+/// the uniform average and each single predictor.
+void expect_fit_beats_simple_blends(const TrainedTarget& t,
+                                    const std::vector<double>& rel_bounds,
+                                    const std::vector<Shape>& tile_shapes) {
+  const Field& target = *t.ds.find(t.spec.target);
+  std::size_t checked = 0;
+  for (double rel : rel_bounds) {
+    SzOptions base;
+    base.eb = ErrorBound::relative(rel);
+    std::vector<Field> recon;
+    for (const std::string& a : t.spec.anchors)
+      recon.push_back(sz_reconstruct(*t.ds.find(a), base));
+    CrossFieldOptions opt;
+    opt.eb = ErrorBound::absolute(base.eb.absolute_for(target.value_range()));
+
+    for (const Shape& tile : tile_shapes) {
+      const TileGrid grid(target.shape(), tile);
+      for (std::size_t i = 0; i < grid.num_tiles(); ++i) {
+        const TileBox box = grid.box(i);
+        if (box.extents.size() < 4096) continue;
+        const Field tile_target(target.name(),
+                                extract_tile(target.array(), box));
+        std::vector<Field> tile_anchors;
+        for (const Field& a : recon)
+          tile_anchors.emplace_back(a.name(), extract_tile(a.array(), box));
+        std::vector<const Field*> anchors;
+        for (const Field& a : tile_anchors) anchors.push_back(&a);
+
+        const auto a = cross_field_analyze(tile_target, anchors, t.model, opt);
+        const std::size_t fitted = coded_payload_bytes(a, a.hybrid);
+        const std::size_t simple = best_simple_payload_bytes(a);
+        EXPECT_LE(static_cast<double>(fitted),
+                  1.005 * static_cast<double>(simple))
+            << t.spec.target << " rel eb " << rel << ", tile " << i
+            << " of " << grid.num_tiles() << ": fitted " << fitted
+            << " bytes, best simple blend " << simple;
+        ++checked;
+      }
+    }
+  }
+  EXPECT_GT(checked, 0u);
+}
+
+TEST(CrossField, FittedBlendCodesNoLargerThanSimpleBlends2D) {
+  // perfbench's data and schedule: CESM CLDTOT <- {CLDLOW, CLDMED,
+  // CLDHGH} at 384x768, over the ends and middle of its bound grid.
+  const TrainedTarget t =
+      train_first_target(DatasetKind::kCesm, Shape{384, 768}, 7);
+  expect_fit_beats_simple_blends(t, {5e-3, 1e-3, 2e-4},
+                                 {Shape{256, 256}, Shape{192, 128}});
+}
+
+TEST(CrossField, FittedBlendCodesNoLargerThanSimpleBlends3D) {
+  // Hurricane Wf <- {Uf, Vf, Pf}: four candidates (three directional
+  // predictors and Lorenzo).
+  const TrainedTarget t =
+      train_first_target(DatasetKind::kHurricane, Shape{16, 96, 96}, 7);
+  expect_fit_beats_simple_blends(t, {5e-3, 1e-3, 2e-4},
+                                 {Shape{16, 64, 64}, Shape{8, 48, 48}});
 }
 
 TEST(CrossField, ReconstructedAnchorProtocolEndToEnd) {

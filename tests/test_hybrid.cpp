@@ -1,4 +1,4 @@
-// Tests for the hybrid prediction model (linear combiner).
+// Tests for the hybrid prediction model (linear combiner) and its fit.
 
 #include <gtest/gtest.h>
 
@@ -6,25 +6,160 @@
 #include <cmath>
 
 #include "core/rng.hpp"
+#include "encode/backend.hpp"
 #include "hybrid/hybrid.hpp"
+#include "sz/delta_codec.hpp"
 
 namespace xfc {
 namespace {
 
-TEST(Hybrid, RecoversKnownLinearCombination) {
-  Rng rng(1);
-  const std::size_t n = 5000;
-  std::vector<std::int32_t> c0(n), c1(n), y(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    c0[i] = static_cast<std::int32_t>(rng.uniform_index(2000)) - 1000;
-    c1[i] = static_cast<std::int32_t>(rng.uniform_index(2000)) - 1000;
-    y[i] = static_cast<std::int32_t>(
-        std::lround(0.7 * c0[i] + 0.3 * c1[i] + 5.0));
+/// A model with the given weights and bias zero, built through the
+/// serialized form (the only way to set arbitrary coefficients).
+HybridModel model_with(const std::vector<double>& weights) {
+  ByteWriter w;
+  w.varint(weights.size());
+  for (double x : weights) w.f64(x);
+  w.f64(0.0);
+  const auto bytes = w.take();
+  ByteReader r(bytes);
+  return HybridModel::deserialize(r);
+}
+
+/// `k` independent columns of uniform integers in [-1000, 1000).
+std::vector<std::vector<std::int32_t>> random_columns(std::size_t k,
+                                                      std::size_t n,
+                                                      std::uint64_t seed) {
+  Rng rng(seed);
+  std::vector<std::vector<std::int32_t>> cols(k, std::vector<std::int32_t>(n));
+  for (auto& col : cols)
+    for (auto& v : col)
+      v = static_cast<std::int32_t>(rng.uniform_index(2000)) - 1000;
+  return cols;
+}
+
+std::vector<std::span<const std::int32_t>> spans_of(
+    const std::vector<std::vector<std::int32_t>>& cols) {
+  return {cols.begin(), cols.end()};
+}
+
+/// `model`'s prediction for every point of `cols`.
+std::vector<std::int32_t> predict(
+    const HybridModel& model,
+    const std::vector<std::vector<std::int32_t>>& cols) {
+  std::vector<std::int32_t> out(cols.front().size());
+  std::array<std::int64_t, 4> p{};
+  for (std::size_t i = 0; i < out.size(); ++i) {
+    for (std::size_t c = 0; c < cols.size(); ++c) p[c] = cols[c][i];
+    out[i] = static_cast<std::int32_t>(
+        model.combine(std::span<const std::int64_t>(p.data(), cols.size())));
   }
-  const auto model = HybridModel::fit({c0, c1}, y, /*lambda=*/0.0);
-  EXPECT_NEAR(model.weights()[0], 0.7, 0.01);
-  EXPECT_NEAR(model.weights()[1], 0.3, 0.01);
-  EXPECT_NEAR(model.bias(), 5.0, 0.5);
+  return out;
+}
+
+/// Bytes of `y`'s delta payload under `model` after the lossless stage, as
+/// a cross-field stream stores it.
+std::size_t coded_bytes(const HybridModel& model,
+                        const std::vector<std::vector<std::int32_t>>& cols,
+                        const std::vector<std::int32_t>& y) {
+  const auto p = predict(model, cols);
+  const std::vector<std::int64_t> preds(p.begin(), p.end());
+  return lossless_compress(encode_deltas(y, preds, kDefaultQuantRadius))
+      .size();
+}
+
+/// Fits to targets that are exactly the rounded planted blend, then checks
+/// that the fitted blend reproduces every target (all deltas zero), on more
+/// points than the score samples.
+void expect_planted_blend_recovered(const std::vector<double>& planted,
+                                    std::uint64_t seed) {
+  const auto cols = random_columns(planted.size(), 100000, seed);
+  const auto y = predict(model_with(planted), cols);
+  const auto fitted = HybridModel::fit(spans_of(cols), y);
+  EXPECT_EQ(predict(fitted, cols), y);
+  EXPECT_EQ(fitted.bias(), 0.0);
+}
+
+TEST(Hybrid, FitRecoversPlantedFourPredictorBlend) {
+  // The uniform start (1/4 each) lies on the 1/64 lattice, so every
+  // lattice blend is reachable by pair moves.
+  expect_planted_blend_recovered({23.0 / 64, 9.0 / 64, 20.0 / 64, 12.0 / 64},
+                                 1);
+  expect_planted_blend_recovered({50.0 / 64, 0.0, 3.0 / 64, 11.0 / 64}, 2);
+}
+
+TEST(Hybrid, FitRecoversPlantedThreePredictorBlend) {
+  // With a dominant predictor the search starts from its one-hot blend,
+  // which lies on the lattice (the uniform 1/3 does not).
+  expect_planted_blend_recovered({48.0 / 64, 12.0 / 64, 4.0 / 64}, 3);
+  expect_planted_blend_recovered({5.0 / 64, 13.0 / 64, 46.0 / 64}, 4);
+}
+
+TEST(Hybrid, FitIgnoresConstantCandidate) {
+  // A constant column carries no information; the informative predictor
+  // keeps all the weight.
+  Rng rng(5);
+  std::vector<std::int32_t> flat(5000, 7), good(5000), y(5000);
+  for (std::size_t i = 0; i < y.size(); ++i) {
+    y[i] = static_cast<std::int32_t>(rng.uniform_index(2000)) - 1000;
+    good[i] = y[i] + static_cast<std::int32_t>(rng.uniform_index(3)) - 1;
+  }
+  const auto model = HybridModel::fit({flat, good}, y);
+  EXPECT_EQ(model.weights(), (std::vector<double>{0.0, 1.0}));
+  EXPECT_EQ(model.bias(), 0.0);
+}
+
+TEST(Hybrid, FitWithOnePredictor) {
+  // k = 1 has no pair to move weight between: weight 1, bias from the
+  // bias candidates only.
+  Rng rng(6);
+  std::vector<std::int32_t> c(3000), y(3000);
+  for (std::size_t i = 0; i < c.size(); ++i) {
+    c[i] = static_cast<std::int32_t>(rng.uniform_index(500));
+    y[i] = c[i] + static_cast<std::int32_t>(rng.uniform_index(5)) - 2;
+  }
+  const auto model = HybridModel::fit({c}, y);
+  EXPECT_EQ(model.weights(), (std::vector<double>{1.0}));
+  EXPECT_EQ(model.bias(), 0.0);
+}
+
+TEST(Hybrid, FitHandlesFieldsShorterThanTheSampleCap) {
+  // Fewer points than the score's 32768-point sample, down to one, so the
+  // score reads every point: the fit still returns a blend (weights summing
+  // to one) that codes no larger than the uniform average or any single
+  // predictor.
+  for (std::size_t n : {1u, 2u, 7u, 1000u}) {
+    const auto cols = random_columns(3, n, 10 + n);
+    const auto y = predict(model_with({0.25, 0.5, 0.25}), cols);
+    const auto model = HybridModel::fit(spans_of(cols), y);
+    ASSERT_EQ(model.num_predictors(), 3u);
+    double sum = 0.0;
+    for (double w : model.weights()) sum += w;
+    EXPECT_NEAR(sum, 1.0, 1e-12) << "n = " << n;
+    const std::size_t fitted = coded_bytes(model, cols, y);
+    EXPECT_LE(fitted, coded_bytes(HybridModel(3), cols, y)) << "n = " << n;
+    for (std::size_t c = 0; c < 3; ++c) {
+      std::vector<double> one_hot(3, 0.0);
+      one_hot[c] = 1.0;
+      EXPECT_LE(fitted, coded_bytes(model_with(one_hot), cols, y))
+          << "n = " << n << ", predictor " << c;
+    }
+  }
+  const std::vector<std::int32_t> none;
+  EXPECT_THROW(HybridModel::fit({none}, none), InvalidArgument);
+  const std::vector<std::int32_t> two(2), three(3);
+  EXPECT_THROW(HybridModel::fit({two, three}, two), InvalidArgument);
+}
+
+TEST(Hybrid, FitIsDeterministic) {
+  // Noisy targets, so the search takes several moves and a bias.
+  const auto cols = random_columns(3, 70000, 9);
+  Rng rng(10);
+  auto y = predict(model_with({0.5, 0.3, 0.2}), cols);
+  for (auto& v : y) v += static_cast<std::int32_t>(rng.uniform_index(41)) - 20;
+  const auto a = HybridModel::fit(spans_of(cols), y);
+  const auto b = HybridModel::fit(spans_of(cols), y);
+  EXPECT_EQ(a.weights(), b.weights());
+  EXPECT_EQ(a.bias(), b.bias());
 }
 
 TEST(Hybrid, CombineRoundsToNearest) {
@@ -39,31 +174,6 @@ TEST(Hybrid, CombineChecksArity) {
   HybridModel m(3);
   const std::array<std::int64_t, 2> p{1, 2};
   EXPECT_THROW(m.combine(p), InvalidArgument);
-}
-
-TEST(Hybrid, RidgeShrinksWeights) {
-  Rng rng(2);
-  const std::size_t n = 2000;
-  std::vector<std::int32_t> c0(n), y(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    c0[i] = static_cast<std::int32_t>(rng.uniform_index(100)) - 50;
-    y[i] = c0[i];
-  }
-  const auto loose = HybridModel::fit({c0}, y, 0.0);
-  const auto tight = HybridModel::fit({c0}, y, 100.0);
-  EXPECT_GT(loose.weights()[0], tight.weights()[0]);
-}
-
-TEST(Hybrid, FitSubsamplesLargeInputs) {
-  Rng rng(3);
-  const std::size_t n = 1 << 18;
-  std::vector<std::int32_t> c0(n), y(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    c0[i] = static_cast<std::int32_t>(rng.uniform_index(1000));
-    y[i] = c0[i] * 2;
-  }
-  const auto model = HybridModel::fit({c0}, y, 0.0, /*max_samples=*/1024);
-  EXPECT_NEAR(model.weights()[0], 2.0, 0.05);
 }
 
 TEST(Hybrid, SgdLossDecreasesMonotonically) {
@@ -122,7 +232,7 @@ TEST(Hybrid, UniformFallbackAverages) {
 }
 
 TEST(Hybrid, DegenerateConstantCandidate) {
-  // A constant candidate column must not destabilise the solve.
+  // A constant candidate column must not destabilise the fit.
   std::vector<std::int32_t> c0(500, 7), y(500);
   for (std::size_t i = 0; i < 500; ++i)
     y[i] = static_cast<std::int32_t>(i % 13);
@@ -130,76 +240,6 @@ TEST(Hybrid, DegenerateConstantCandidate) {
   // Prediction should approximate the mean of y.
   const std::array<std::int64_t, 1> p{7};
   EXPECT_NEAR(static_cast<double>(model.combine(p)), 6.0, 1.5);
-}
-
-TEST(Hybrid, L1FitRecoversLinearCombination) {
-  Rng rng(6);
-  const std::size_t n = 4000;
-  std::vector<std::int32_t> c0(n), c1(n), y(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    c0[i] = static_cast<std::int32_t>(rng.uniform_index(1000)) - 500;
-    c1[i] = static_cast<std::int32_t>(rng.uniform_index(1000)) - 500;
-    y[i] = static_cast<std::int32_t>(std::lround(0.4 * c0[i] + 0.6 * c1[i]));
-  }
-  const auto model = HybridModel::fit_l1({c0, c1}, y, 1e-6);
-  EXPECT_NEAR(model.weights()[0], 0.4, 0.03);
-  EXPECT_NEAR(model.weights()[1], 0.6, 0.03);
-}
-
-TEST(Hybrid, L1FitRobustToOutlierTail) {
-  // One predictor is right for 99% of points; the other matches only the
-  // 1% huge-magnitude tail. LS chases the tail; L1 should stick with the
-  // majority predictor.
-  Rng rng(7);
-  const std::size_t n = 20000;
-  std::vector<std::int32_t> good(n), tail(n), y(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    const auto base =
-        static_cast<std::int32_t>(rng.uniform_index(100)) - 50;
-    y[i] = base;
-    good[i] = base + static_cast<std::int32_t>(rng.uniform_index(3)) - 1;
-    tail[i] = 0;
-    if (i % 100 == 0) {
-      y[i] = static_cast<std::int32_t>(rng.uniform_index(100000));
-      tail[i] = y[i];
-      good[i] = 0;
-    }
-  }
-  const auto ls = HybridModel::fit({good, tail}, y, 1e-6);
-  const auto l1 = HybridModel::fit_l1({good, tail}, y, 1e-6);
-  EXPECT_GT(l1.weights()[0], 0.85);             // majority predictor
-  EXPECT_GT(ls.weights()[1], l1.weights()[1]);  // LS chases the tail more
-}
-
-TEST(Hybrid, SingleIsOneHot) {
-  const auto m = HybridModel::single(3, 1);
-  EXPECT_EQ(m.weights(), (std::vector<double>{0.0, 1.0, 0.0}));
-  const std::array<std::int64_t, 3> p{5, 9, 2};
-  EXPECT_EQ(m.combine(p), 9);
-  EXPECT_THROW(HybridModel::single(3, 3), InvalidArgument);
-}
-
-TEST(Hybrid, EstimatedBitsOrdersPredictorsCorrectly) {
-  Rng rng(8);
-  const std::size_t n = 5000;
-  std::vector<std::int32_t> good(n), bad(n), y(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    y[i] = static_cast<std::int32_t>(rng.uniform_index(2000)) - 1000;
-    good[i] = y[i] + static_cast<std::int32_t>(rng.uniform_index(5)) - 2;
-    bad[i] = y[i] + static_cast<std::int32_t>(rng.uniform_index(512)) - 256;
-  }
-  const auto pick_good = HybridModel::single(2, 0);
-  const auto pick_bad = HybridModel::single(2, 1);
-  EXPECT_LT(pick_good.estimated_bits({good, bad}, y),
-            pick_bad.estimated_bits({good, bad}, y));
-}
-
-TEST(Hybrid, EstimatedBitsZeroForPerfectPrediction) {
-  std::vector<std::int32_t> c(100), y(100);
-  for (std::size_t i = 0; i < 100; ++i) c[i] = y[i] = static_cast<int>(i);
-  const auto m = HybridModel::single(1, 0);
-  // perfect prediction: every delta is 0 -> 1 bit/sample by the proxy
-  EXPECT_EQ(m.estimated_bits({c}, y), 100.0);
 }
 
 TEST(Hybrid, DeserializeRejectsBadCounts) {
